@@ -66,22 +66,20 @@ def approx_decode(code: LinearCode, y: BitVector) -> BitVector:
     """Project a received word onto the code via pseudo best approximation.
 
     Codewords pass through unchanged.  The basis schedule is deterministic:
-    first the rows of G, then, for i ascending, the rows of G with row i
-    replaced by row i XOR row (i+1 mod k).
+    first the rows of G, then, when k >= 2, for i ascending, the rows of G
+    with row i replaced by row i XOR row (i+1 mod k).
     """
     if code.syndrome(y).bits == 0:
         return y
     g = code.generator()
     rows = [g.row(i) for i in range(g.rows)]
-    for choice in range(g.rows + 1):
-        if choice == 0:
-            candidate = rows
-        else:
-            i = choice - 1
-            candidate = list(rows)
-            candidate[i] = rows[i] ^ rows[(i + 1) % g.rows]
+    schedule = [rows]
+    if g.rows >= 2:
+        schedule += [rows[:i] + [rows[i] ^ rows[(i + 1) % g.rows]] + rows[i + 1:]
+                     for i in range(g.rows)]
+    for candidate in schedule:
         result = pseudo_best_approx(y, Basis(tuple(candidate)))
         if result is not None:
             return result
     raise ApproxDecodeError(
-        f"all {g.rows + 1} scheduled bases produced a vanishing projection")
+        f"all {len(schedule)} scheduled bases produced a vanishing projection")

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .approx import ApproxDecodeError, approx_decode
-from .channel import ChannelConfig, ChannelError, run_trial
+from .channel import STRATEGIES, ChannelConfig, ChannelError, run_trial
 from .gf2 import BitVector, Gf2Error
 from .grid import (
     GridCode,
@@ -131,8 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True, help="bit flip probability")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strategy", required=True,
-                   choices=("per_cell_decode", "majority_vote", "simultaneous"))
+    p.add_argument("--strategy", required=True, choices=STRATEGIES)
     p.set_defaults(func=_sim_run)
     return parser
 

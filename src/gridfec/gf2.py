@@ -112,10 +112,6 @@ class BitVector:
         return BitVector(width, (self.bits >> start) & ((1 << width) - 1))
 
 
-def weight(x: BitVector) -> int:
-    return x.weight()
-
-
 def distance(x: BitVector, y: BitVector) -> int:
     """Hamming distance: popcount of the XOR."""
     if x.length != y.length:
@@ -224,27 +220,16 @@ def mat_vec(a: BitMatrix, x: BitVector) -> BitVector:
     return BitVector(a.rows, bits)
 
 
-def rank(a: BitMatrix) -> int:
-    words = list(a.row_words)
-    r = 0
-    for j in range(a.cols):
-        pivot = next((i for i in range(r, len(words)) if (words[i] >> j) & 1), None)
-        if pivot is None:
-            continue
-        words[r], words[pivot] = words[pivot], words[r]
-        for i in range(len(words)):
-            if i != r and (words[i] >> j) & 1:
-                words[i] ^= words[r]
-        r += 1
-    return r
+def eliminate(words: list[int], columns: Iterable[int]) -> list[int]:
+    """Gauss-Jordan elimination of packed rows, in place, over `columns` in order.
 
-
-def row_reduce(a: BitMatrix) -> tuple[BitMatrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    words = list(a.row_words)
+    A column with a set bit at or below the next pivot row gets a pivot: that
+    row is swapped up and the bit is cleared from every other row.  Columns
+    without one are skipped.  Returns the pivot columns; pivot i sits in row i.
+    """
     pivots: list[int] = []
-    r = 0
-    for j in range(a.cols):
+    for j in columns:
+        r = len(pivots)
         pivot = next((i for i in range(r, len(words)) if (words[i] >> j) & 1), None)
         if pivot is None:
             continue
@@ -253,7 +238,17 @@ def row_reduce(a: BitMatrix) -> tuple[BitMatrix, list[int]]:
             if i != r and (words[i] >> j) & 1:
                 words[i] ^= words[r]
         pivots.append(j)
-        r += 1
+    return pivots
+
+
+def rank(a: BitMatrix) -> int:
+    return len(eliminate(list(a.row_words), range(a.cols)))
+
+
+def row_reduce(a: BitMatrix) -> tuple[BitMatrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns."""
+    words = list(a.row_words)
+    pivots = eliminate(words, range(a.cols))
     return BitMatrix(a.rows, a.cols, tuple(words)), pivots
 
 

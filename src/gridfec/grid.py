@@ -295,10 +295,6 @@ def _split_segments(line: str, count: int, what: str) -> list[str]:
     return parts
 
 
-def uniform_grid(code: LinearCode, m: int, n: int) -> GridCode:
-    return GridCode.uniform(code, m, n)
-
-
 def grid_dot(x: GridCodeword, y: GridCodeword) -> tuple[tuple[int, ...], ...]:
     """Cellwise pseudo inner products of two same-order grid words."""
     if x.m != y.m or x.n != y.n:
@@ -448,10 +444,10 @@ def apply_mask(word: GridCodeword, mask: CellMask) -> list[BitVector]:
 
 def load_stencil(name: str) -> CellMask:
     """A shipped letter/symbol stencil ('t', 'k' or 'cross') as a CellMask."""
-    try:
-        text = resources.files("gridfec.stencils").joinpath(f"{name}.txt").read_text()
-    except FileNotFoundError:
-        raise GridError(f"unknown stencil {name!r}") from None
+    shipped = {f.name: f for f in resources.files("gridfec.stencils").iterdir()}
+    if f"{name}.txt" not in shipped:
+        raise GridError(f"unknown stencil {name!r}")
+    text = shipped[f"{name}.txt"].read_text()
     indices = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()

@@ -15,6 +15,7 @@ from typing import Optional
 from .gf2 import (
     BitMatrix,
     BitVector,
+    eliminate,
     mat_mul,
     mat_vec,
     null_space_basis,
@@ -37,26 +38,6 @@ class CodeError(ValueError):
 
 class CapacityError(CodeError):
     """Raised when an enumeration guard (2^k codewords, 2^(n-k) cosets) is exceeded."""
-
-
-class CosetTable:
-    """Map from syndrome to its minimum-weight coset leader.
-
-    Ties between minimum-weight vectors are broken toward the smallest
-    support (earliest flipped positions), matching the worked coset tables.
-    """
-
-    def __init__(self, leaders: dict[BitVector, BitVector]):
-        self._leaders = dict(leaders)
-
-    def leader(self, syndrome: BitVector) -> BitVector:
-        return self._leaders[syndrome]
-
-    def __len__(self) -> int:
-        return len(self._leaders)
-
-    def items(self):
-        return self._leaders.items()
 
 
 class LinearCode:
@@ -143,12 +124,16 @@ class LinearCode:
         """All 2^k codewords (guarded by MAX_MESSAGE_BITS)."""
         if self.k > MAX_MESSAGE_BITS:
             raise CapacityError(f"k={self.k} exceeds the enumeration guard of {MAX_MESSAGE_BITS}")
-        basis = [self._g.row(i) for i in range(self._g.rows)] if self._g is not None \
-            else null_space_basis(self.h)
         words = {BitVector.zeros(self.n)}
-        for v in basis:
+        for v in self._basis():
             words |= {w ^ v for w in words}
         return frozenset(words)
+
+    def _basis(self) -> list[BitVector]:
+        """A basis of the code: the rows of the given G, else the null space of H."""
+        if self._g is not None:
+            return [self._g.row(i) for i in range(self._g.rows)]
+        return null_space_basis(self.h)
 
     # -- standard form ----------------------------------------------------
 
@@ -160,18 +145,12 @@ class LinearCode:
         """
         m = self.n - self.k
         words = list(self.h.row_words)
-        r = 0
+        pivots = eliminate(words, range(self.k, self.n))
         for j in range(self.k, self.n):
-            pivot = next((i for i in range(r, len(words)) if (words[i] >> j) & 1), None)
-            if pivot is None:
+            if j not in pivots:
                 raise CodeError(
                     f"column {j} admits no pivot: H is not row-reducible to (A, I) "
                     "without column swaps")
-            words[r], words[pivot] = words[pivot], words[r]
-            for i in range(len(words)):
-                if i != r and (words[i] >> j) & 1:
-                    words[i] ^= words[r]
-            r += 1
         if any(w != 0 for w in words[m:]):
             raise CodeError("parity-check rows are inconsistent with rank")
         h_std = BitMatrix(m, self.n, tuple(words[:m]))
@@ -204,7 +183,12 @@ class LinearCode:
     # -- coset decoding ----------------------------------------------------
 
     @cached_property
-    def coset_table(self) -> CosetTable:
+    def coset_table(self) -> dict[Syndrome, BitVector]:
+        """Map from syndrome to its minimum-weight coset leader.
+
+        Ties between minimum-weight vectors are broken toward the smallest
+        support (earliest flipped positions), matching the worked coset tables.
+        """
         m = self.n - self.k
         if m > MAX_CHECK_BITS:
             raise CapacityError(f"n-k={m} exceeds the coset guard of {MAX_CHECK_BITS}")
@@ -224,12 +208,12 @@ class LinearCode:
                     leaders[s] = e
                     if len(leaders) == total:
                         break
-        return CosetTable(leaders)
+        return leaders
 
     def decode(self, y: BitVector) -> tuple[BitVector, BitVector]:
         """Coset-leader decoding: returns (codeword, presumed error)."""
         s = self.syndrome(y)
-        e = self.coset_table.leader(s)
+        e = self.coset_table[s]
         return y ^ e, e
 
     # -- derived codes -----------------------------------------------------
@@ -237,8 +221,7 @@ class LinearCode:
     def dual(self) -> "LinearCode":
         """The orthogonal code: generator and parity-check roles swap."""
         h_rows = row_space_basis(self.h)
-        code_basis = [self._g.row(i) for i in range(self._g.rows)] if self._g is not None \
-            else null_space_basis(self.h)
+        code_basis = self._basis()
         if not code_basis:
             # Dual of the zero code is the full space.
             return LinearCode(BitMatrix.from_rows([BitVector.zeros(self.n)]),

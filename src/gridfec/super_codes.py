@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .families import CyclicSpec, cyclic_from_poly, hamming, parity_check, repetition
@@ -143,44 +144,12 @@ class SuperRowCode(_SuperCode):
             raise GeneratorUndefinedError(
                 f"message-symbol counts differ across components: "
                 f"{sorted(c.k for c in self.components)}")
-        gens = [c.generator() for c in self.components]
-        k = gens[0].rows
-        words = []
-        for r in range(k):
-            bits = 0
-            offset = 0
-            for g in gens:
-                bits |= g.row_words[r] << offset
-                offset += g.cols
-            words.append(bits)
-        total = sum(g.cols for g in gens)
-        cuts = []
-        offset = 0
-        for g in gens[:-1]:
-            offset += g.cols
-            cuts.append(offset)
-        return SuperMatrix(BitMatrix(k, total, tuple(words)), col_cuts=tuple(cuts))
+        return _side_by_side([c.generator() for c in self.components])
 
     def parity_matrix(self) -> SuperMatrix:
         """The concatenated [H_1 | ... | H_n] with the component cut lines."""
-        mats = [c.standardize()[0] if c.h.rows != self.check_count else c.h
-                for c in self.components]
-        m = self.check_count
-        words = []
-        for r in range(m):
-            bits = 0
-            offset = 0
-            for h in mats:
-                bits |= h.row_words[r] << offset
-                offset += h.cols
-            words.append(bits)
-        total = sum(h.cols for h in mats)
-        cuts = []
-        offset = 0
-        for h in mats[:-1]:
-            offset += h.cols
-            cuts.append(offset)
-        return SuperMatrix(BitMatrix(m, total, tuple(words)), col_cuts=tuple(cuts))
+        return _side_by_side([c.standardize()[0] if c.h.rows != self.check_count else c.h
+                              for c in self.components])
 
 
 class SuperColumnCode(_SuperCode):
@@ -202,25 +171,26 @@ class SuperColumnCode(_SuperCode):
 
     def generator(self) -> SuperMatrix:
         """The stacked [G_1 / ... / G_n]; each component must standardize."""
-        gens = [c.generator() for c in self.components]
-        words = tuple(w for g in gens for w in g.row_words)
-        cuts = []
-        offset = 0
-        for g in gens[:-1]:
-            offset += g.rows
-            cuts.append(offset)
-        return SuperMatrix(BitMatrix(len(words), self.length, words),
-                           row_cuts=tuple(cuts))
+        return _stacked([c.generator() for c in self.components])
 
     def parity_matrix(self) -> SuperMatrix:
-        words = tuple(w for c in self.components for w in c.h.row_words)
-        cuts = []
-        offset = 0
-        for c in self.components[:-1]:
-            offset += c.h.rows
-            cuts.append(offset)
-        return SuperMatrix(BitMatrix(len(words), self.length, words),
-                           row_cuts=tuple(cuts))
+        return _stacked([c.h for c in self.components])
+
+
+def _side_by_side(mats: Sequence[BitMatrix]) -> SuperMatrix:
+    """[M_1 | ... | M_n] for blocks of equal height, cut between blocks."""
+    *cuts, total = accumulate(m.cols for m in mats)
+    offsets = (0, *cuts)
+    words = tuple(sum(m.row_words[r] << off for m, off in zip(mats, offsets))
+                  for r in range(mats[0].rows))
+    return SuperMatrix(BitMatrix(len(words), total, words), col_cuts=tuple(cuts))
+
+
+def _stacked(mats: Sequence[BitMatrix]) -> SuperMatrix:
+    """[M_1 / ... / M_n] for blocks of equal width, cut between blocks."""
+    *cuts, total = accumulate(m.rows for m in mats)
+    words = tuple(w for m in mats for w in m.row_words)
+    return SuperMatrix(BitMatrix(total, mats[0].cols, words), row_cuts=tuple(cuts))
 
 
 def row_family(kind: str, params) -> SuperRowCode:

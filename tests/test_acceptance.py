@@ -21,7 +21,7 @@ from gridfec.approx import Basis, pseudo_best_approx, pseudo_inner
 from gridfec.channel import ChannelConfig, run_trial
 from gridfec.families import CyclicSpec, cyclic_from_poly, hamming, parity_matrix_from_h, parity_poly
 from gridfec.gf2 import BitMatrix, BitVector, Gf2Poly, mat_mul, mat_vec, transpose
-from gridfec.grid import GridCode, GridCodeword, grid_dot, uniform_grid
+from gridfec.grid import GridCode, GridCodeword, grid_dot
 from gridfec.linear import LinearCode
 from gridfec.super_codes import (
     SuperCodeword,
@@ -179,7 +179,7 @@ def test_criterion_7_grid_codes():
     assert grid_dot(x, y) == ((1, 1), (0, 1), (1, 0), (1, 0))
 
     c42 = LinearCode.from_parity(BM(["1010", "1101"]))
-    ortho = uniform_grid(c42, 2, 2).orthogonal()
+    ortho = GridCode.uniform(c42, 2, 2).orthogonal()
     for row in ortho.cells:
         for cell in row:
             assert {str(w) for w in cell.codewords} == {"0000", "1101", "0111", "1010"}
@@ -218,7 +218,7 @@ def test_criterion_8_property_suites():
         assert rc.is_member(word) == all(code.is_member(s) for s in segs)
 
         # Stream round trips on a grid of this code.
-        grid = uniform_grid(code, 2, 2)
+        grid = GridCode.uniform(code, 2, 2)
         cells = [[BitVector(code.n, rng.getrandbits(code.n)) for _ in range(2)]
                  for _ in range(2)]
         gw = GridCodeword.from_rows(cells)
@@ -233,7 +233,7 @@ def test_criterion_9_monte_carlo():
     start = time.monotonic()
 
     code = hamming(3)
-    grid = uniform_grid(code, 1, 1)
+    grid = GridCode.uniform(code, 1, 1)
     sent = GridCodeword.from_rows([[code.encode(BV("1010"))]])
     report = run_trial(grid, sent, "per_cell_decode",
                        ChannelConfig(0.01, seed=20260810), 100_000)
@@ -244,7 +244,7 @@ def test_criterion_9_monte_carlo():
     block = LinearCode.from_parity(
         BM(["01101000", "10010100", "11100010", "10000001"]))
     cell = block.encode(BV("1011"))
-    big = uniform_grid(block, 16, 17)
+    big = GridCode.uniform(block, 16, 17)
     sent_big = GridCodeword.from_rows([[cell] * 17 for _ in range(16)])
     vote_report = run_trial(big, sent_big, "majority_vote",
                             ChannelConfig(0.05, seed=9), 1_000)

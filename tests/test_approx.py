@@ -118,6 +118,13 @@ class TestApproxDecode:
                     continue
                 assert code.syndrome(result).bits == 0
 
+    def test_single_row_generator_has_no_retry(self):
+        # With k = 1 the only basis is G itself: row 0 XOR row 0 would be
+        # the zero vector, so no replacement basis is scheduled.
+        code = LinearCode.from_parity(BitMatrix.from_strings(["1100", "1010", "1001"]))
+        with pytest.raises(ApproxDecodeError, match="all 1 scheduled bases"):
+            approx_decode(code, BV("1100"))
+
     def test_retry_schedule_is_deterministic(self):
         rng = random.Random(12)
         for _ in range(50):

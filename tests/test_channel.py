@@ -10,7 +10,7 @@ from gridfec.channel import (
 )
 from gridfec.families import hamming
 from gridfec.gf2 import BitVector, Gf2Error
-from gridfec.grid import GridCodeword, uniform_grid
+from gridfec.grid import GridCode, GridCodeword
 
 BV = BitVector.from_string
 
@@ -96,7 +96,7 @@ class TestDeriveSeed:
 class TestRunTrial:
     def _single_hamming(self):
         code = hamming(3)
-        grid = uniform_grid(code, 1, 1)
+        grid = GridCode.uniform(code, 1, 1)
         sent = GridCodeword.from_rows([[code.encode(BV("1010"))]])
         return grid, sent
 
@@ -128,7 +128,7 @@ class TestRunTrial:
     def test_single_errors_always_corrected(self):
         # Inject weight-<=t patterns per cell by hand and confirm recovery.
         code = hamming(3)
-        grid = uniform_grid(code, 2, 2)
+        grid = GridCode.uniform(code, 2, 2)
         sent = grid.encode([[BV("1010"), BV("0110")], [BV("0001"), BV("1111")]])
         for pos in range(7):
             cells = [list(r) for r in sent.cells]
@@ -139,7 +139,7 @@ class TestRunTrial:
 
     def test_majority_vote_requires_uniform_fill(self):
         code = hamming(3)
-        grid = uniform_grid(code, 2, 2)
+        grid = GridCode.uniform(code, 2, 2)
         sent = grid.encode([[BV("1010"), BV("0110")], [BV("0001"), BV("1111")]])
         with pytest.raises(ChannelError):
             run_trial(grid, sent, "majority_vote", ChannelConfig(0.05, 1), 3)
@@ -154,7 +154,7 @@ class TestRunTrial:
         # p = 0.03 keeps the per-cell corruption probability near 0.19, so
         # a clear majority of the nine copies stays intact.
         code = hamming(3)
-        grid = uniform_grid(code, 3, 3)
+        grid = GridCode.uniform(code, 3, 3)
         word = code.encode(BV("1010"))
         sent = GridCodeword.from_rows([[word] * 3] * 3)
         report = run_trial(grid, sent, "majority_vote", ChannelConfig(0.03, 11), 200)

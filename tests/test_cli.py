@@ -1,5 +1,7 @@
 """Golden-example reproduction through the command-line interface."""
 
+import os
+from importlib import resources
 from pathlib import Path
 
 from gridfec.cli import main
@@ -47,6 +49,14 @@ class TestCodeCommands:
                       "--word", "1111", "--strategy", "approx")
         assert rc == 1
         assert "codeword: 1011" in out
+
+    def test_decode_approx_on_single_row_generator_exits_two(self, capsys, tmp_path):
+        spec = tmp_path / "rep4.json"
+        spec.write_text('{"kind": "repetition", "n": 4}')
+        rc = main(["code", "decode", "--spec", str(spec), "--word", "1100",
+                   "--strategy", "approx"])
+        assert rc == 2
+        assert "vanishing projection" in capsys.readouterr().err
 
     def test_info_golden_output(self, capsys):
         rc, out = run(capsys, "code", "info", "--spec", fx("ex_1_2_10.json"))
@@ -223,6 +233,19 @@ class TestGridCommands:
                       "--stream-file", str(stream), "--stencil", "cross")
         assert rc == 0
         assert len(out.splitlines()) == 13
+
+    def test_mask_stencil_outside_package_exits_two(self, capsys, tmp_path):
+        # A name that walks out of the stencil directory to a readable .txt
+        # file whose line is not a cell index.
+        (tmp_path / "bad.txt").write_text("not a cell index\n")
+        name = os.path.relpath(tmp_path / "bad", str(resources.files("gridfec.stencils")))
+        stream = tmp_path / "word.txt"
+        stream.write_text("00000\n")
+        rc = main(["grid", "mask", "--spec", fx("ex_1_2_6.json"),
+                   "--stream-file", str(stream), "--stencil", name])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown stencil" in err and "Traceback" not in err
 
 
 class TestSimCommand:

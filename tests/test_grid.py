@@ -16,7 +16,6 @@ from gridfec.grid import (
     grid_dot,
     load_stencil,
     mask_from_ap,
-    uniform_grid,
 )
 from gridfec.linear import LinearCode
 
@@ -64,16 +63,16 @@ class TestGridConstruction:
             GridCode([[repetition(7), hamming(3)]])
 
     def test_uniform_always_valid(self):
-        g = uniform_grid(hamming(3), 4, 5)
+        g = GridCode.uniform(hamming(3), 4, 5)
         assert g.m == 4 and g.n == 5
         assert g.is_uniform()
 
     def test_application_scale_uniform(self):
-        g = uniform_grid(parity_check(8), 16, 17)
+        g = GridCode.uniform(parity_check(8), 16, 17)
         assert (g.m, g.n) == (16, 17)
 
     def test_one_by_one(self):
-        g = uniform_grid(hamming(3), 1, 1)
+        g = GridCode.uniform(hamming(3), 1, 1)
         assert g.cells[0][0] is hamming(3) or g.cells[0][0].h == hamming(3).h
 
 
@@ -93,7 +92,7 @@ class TestEncodeSyndromeDecode:
         assert g.is_member(word)
 
     def test_single_flip_corrected(self):
-        g = uniform_grid(hamming(3), 2, 2)
+        g = GridCode.uniform(hamming(3), 2, 2)
         sent = g.encode([[BV("1010"), BV("0110")], [BV("1111"), BV("0001")]])
         cells = [list(r) for r in sent.cells]
         cells[1][0] = cells[1][0].with_flipped([4])
@@ -140,7 +139,7 @@ class TestStreams:
             assert g.from_col_stream(word.to_col_stream()) == word
 
     def test_one_by_one_stream_is_plain_word(self):
-        g = uniform_grid(hamming(3), 1, 1)
+        g = GridCode.uniform(hamming(3), 1, 1)
         word = g.from_row_stream(["0100101"])
         assert word.to_row_stream() == ["0100101"]
         assert word.to_col_stream() == ["0100101"]
@@ -164,12 +163,12 @@ class TestStreams:
 
 class TestMajorityVote:
     def test_all_cells_identical(self):
-        g = uniform_grid(hamming(3), 2, 3)
+        g = GridCode.uniform(hamming(3), 2, 3)
         word = GridCodeword.from_rows([[BV("0100101")] * 3] * 2)
         assert g.majority_vote(word) == BV("0100101")
 
     def test_four_of_nine_corrupted(self):
-        g = uniform_grid(hamming(3), 3, 3)
+        g = GridCode.uniform(hamming(3), 3, 3)
         sent = BV("0100101")
         cells = [[sent] * 3 for _ in range(3)]
         cells[0][0] = BV("1111111")
@@ -179,7 +178,7 @@ class TestMajorityVote:
         assert g.majority_vote(GridCodeword.from_rows(cells)) == sent
 
     def test_no_repeats_falls_back_to_decode(self):
-        g = uniform_grid(hamming(3), 1, 3)
+        g = GridCode.uniform(hamming(3), 1, 3)
         sent = g.encode([[BV("1010")] * 3])
         base = sent.cells[0][0]
         cells = [[base.with_flipped([0]), base.with_flipped([3]), base.with_flipped([6])]]
@@ -193,19 +192,19 @@ class TestMajorityVote:
 
 class TestBestRowSelect:
     def test_clean_grid_ties_to_first_row(self):
-        g = uniform_grid(hamming(3), 3, 2)
+        g = GridCode.uniform(hamming(3), 3, 2)
         sent = BV("0100101")
         word = GridCodeword.from_rows([[sent] * 2] * 3)
         assert g.best_row_select(word) == 0
 
     def test_fully_consistent_row_wins(self):
-        g = uniform_grid(hamming(3), 3, 2)
+        g = GridCode.uniform(hamming(3), 3, 2)
         good, bad = BV("0100101"), BV("1111110")
         word = GridCodeword.from_rows([[bad, good], [bad, bad], [good, good]])
         assert g.best_row_select(word) == 2
 
     def test_error_weight_option(self):
-        g = uniform_grid(hamming(3), 2, 1)
+        g = GridCode.uniform(hamming(3), 2, 1)
         sent = BV("0100101")
         one_flip = sent.with_flipped([0])
         word = GridCodeword.from_rows([[one_flip], [sent]])
@@ -220,7 +219,7 @@ class TestReconcile:
         assert result.disagreements == ()
 
     def test_row_copy_valid_wins(self):
-        g = uniform_grid(hamming(3), 1, 2)
+        g = GridCode.uniform(hamming(3), 1, 2)
         sent = g.encode([[BV("1010"), BV("0110")]])
         corrupted = [list(r) for r in sent.cells]
         corrupted[0][1] = corrupted[0][1].with_flipped([2])
@@ -230,7 +229,7 @@ class TestReconcile:
         assert result.disagreements == ((0, 1),)
 
     def test_both_corrupted_decode_to_same_word(self):
-        g = uniform_grid(hamming(3), 1, 1)
+        g = GridCode.uniform(hamming(3), 1, 1)
         sent = g.encode([[BV("1010")]])
         a = sent.cells[0][0].with_flipped([1])
         b = sent.cells[0][0].with_flipped([5])
@@ -254,7 +253,7 @@ class TestChart:
 
     def _grid_word(self):
         code = parity_check(4)
-        g = uniform_grid(code, 8, 11)
+        g = GridCode.uniform(code, 8, 11)
         rng = random.Random(9)
         cells = [[BitVector(4, rng.getrandbits(3) << 1) for _ in range(11)]
                  for _ in range(8)]
@@ -332,6 +331,11 @@ class TestMask:
         t = load_stencil("t")
         assert set(t.indices) == {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 25, 35, 45, 55, 65}
 
+    @pytest.mark.parametrize("name", ["nope", "../stencils/t", "__init__"])
+    def test_only_shipped_stencil_names(self, name):
+        with pytest.raises(GridError, match="unknown stencil"):
+            load_stencil(name)
+
 
 class TestGridDot:
     def test_worked_four_by_two(self):
@@ -371,7 +375,7 @@ class TestGridDot:
 class TestOrthogonalGrid:
     def test_worked_two_by_two(self):
         c = LinearCode.from_parity(BM(["1010", "1101"]))
-        g = uniform_grid(c, 2, 2)
+        g = GridCode.uniform(c, 2, 2)
         og = g.orthogonal()
         for row in og.cells:
             for cell in row:
@@ -379,7 +383,7 @@ class TestOrthogonalGrid:
 
     def test_all_member_pairs_dot_to_zero(self):
         c = LinearCode.from_parity(BM(["1010", "1101"]))
-        g = uniform_grid(c, 2, 2)
+        g = GridCode.uniform(c, 2, 2)
         og = g.orthogonal()
         words = sorted(c.codewords, key=lambda w: w.bits)
         duals = sorted(og.cells[0][0].codewords, key=lambda w: w.bits)
@@ -391,7 +395,7 @@ class TestOrthogonalGrid:
 
     def test_full_space_grid_duals_to_zero_codes(self):
         full = LinearCode.from_generator(BitMatrix.identity(3))
-        og = uniform_grid(full, 2, 2).orthogonal()
+        og = GridCode.uniform(full, 2, 2).orthogonal()
         assert all(cell.k == 0 for row in og.cells for cell in row)
 
 
@@ -407,7 +411,7 @@ class TestCyclicGrid:
 
     def test_zero_code_grid(self):
         zero = LinearCode.from_parity(BitMatrix.identity(4))
-        assert uniform_grid(zero, 2, 2).is_cyclic()
+        assert GridCode.uniform(zero, 2, 2).is_cyclic()
 
 
 class TestBlockLayout:
@@ -476,7 +480,7 @@ class TestVoteMajorityInvariant:
             m, n = rng.randint(1, 4), rng.randint(1, 4)
             total = m * n
             corrupt = rng.randint(0, (total - 1) // 2)  # strictly less than half
-            g = uniform_grid(code, m, n)
+            g = GridCode.uniform(code, m, n)
             cells = [[sent] * n for _ in range(m)]
             spots = rng.sample(range(total), corrupt)
             for s in spots:

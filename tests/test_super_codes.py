@@ -264,6 +264,17 @@ class TestRowGenerator:
         product = mat_mul(gs.body, super_transpose(hs).body)
         assert product.is_zero()
 
+    def test_parity_matrix_standardizes_redundant_component(self):
+        # The first H has a third, dependent row, so it is standardized to
+        # its two check rows before the blocks are joined; the second H
+        # already has two rows and is used as given.
+        rc = SuperRowCode([LinearCode.from_parity(BM(["0111", "1101", "1010"])),
+                           LinearCode.from_parity(H2_318)])
+        hs = rc.parity_matrix()
+        assert hs.body == BM(["101010110", "110101101"])
+        assert hs.col_cuts == (4,)
+        assert hs.row_cuts == ()
+
     def test_mixed_shapes_cannot_form_row_code(self):
         # Generators with equal k but check counts 3, 4 and 2 compose into
         # no valid row code at all.
@@ -373,6 +384,15 @@ class TestColumnOperations:
         for code, (r0, r1) in zip(cc.components, gs.block_row_spans()):
             block = BitMatrix(r1 - r0, 7, gs.body.row_words[r0:r1])
             assert mat_mul(block, transpose(code.h)).is_zero()
+
+    def test_parity_matrix_stacks_component_blocks(self):
+        cc = SuperColumnCode([LinearCode.from_parity(h) for h in H_322])
+        hs = cc.parity_matrix()
+        assert hs.body == BM(["0011000", "0100100", "1110010", "1000001",
+                              "1100010", "1101001",
+                              "1010100", "0110010", "1111001"])
+        assert hs.row_cuts == (4, 6)
+        assert hs.col_cuts == ()
 
 
 class TestColumnFamilies:
