@@ -2,9 +2,16 @@
 
 Randomness comes from an xorshift64* generator (shifts 12/25/27, multiplier
 0x2545F4914F6CDD1D) seeded through the splitmix64 finalizer, so corrupted
-outputs are bit-identical across runs and platforms.  Per-cell streams are
-derived by mixing (trial, row, col, copy) into the master seed, which makes
-trial order irrelevant and trials safely parallelizable.
+outputs are bit-identical across runs and platforms.  The stream of cell
+(row, col) in copy `copy` of trial t is seeded by
+`derive_seed(master, t, row, col, copy)`, which adds each index to the running
+state and mixes, one index at a time; trial order is therefore irrelevant and
+trials are safely parallelizable.
+
+Because the first fold sees only master + t, trial t of master seed s + 1
+draws exactly the streams of trial t + 1 of seed s: runs of N trials at seeds
+s and s + 1 share N - 1 trials.  Space the master seeds of runs meant to be
+independent at least their trial count apart.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .gf2 import BitVector, Gf2Error, distance
+from .gf2 import BitMatrix, BitVector, Gf2Error, distance, mat_vec_bits
 from .grid import GridCode, GridCodeword
 
 _M64 = (1 << 64) - 1
@@ -59,31 +66,41 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _fold(state: int, index: int) -> int:
+    """One step of the seed derivation: add the index, then mix."""
+    return _mix64((state + _GAMMA + index) & _M64)
+
+
 def derive_seed(master: int, *indices: int) -> int:
     """Fold trial/cell indices into the master seed, one mix step each."""
     state = master & _M64
     for v in indices:
-        state = _mix64((state + _GAMMA + v) & _M64)
+        state = _fold(state, v)
     return state
 
 
-def _xorshift_next(state: int) -> tuple[int, int]:
-    state ^= state >> 12
-    state = (state ^ (state << 25)) & _M64
-    state ^= state >> 27
-    return state, (state * 0x2545F4914F6CDD1D) & _M64
+def _flip_mask(seed: int, length: int, threshold: int) -> int:
+    """The xorshift64* stream of `seed` as a mask: bit i set iff draw i < threshold."""
+    state = _mix64(seed) or _GAMMA
+    mask = 0
+    for i in range(length):
+        state ^= state >> 12
+        state = (state ^ (state << 25)) & _M64
+        state ^= state >> 27
+        if (state * 0x2545F4914F6CDD1D) & _M64 < threshold:
+            mask |= 1 << i
+    return mask
+
+
+def _threshold(p: float) -> int:
+    """The draw bound for flip probability p: a 64-bit draw below it flips its bit."""
+    return int(p * (1 << 64))
 
 
 def bsc_corrupt(cfg: ChannelConfig, x: BitVector) -> BitVector:
     """Flip each bit independently with probability p; fully seed-determined."""
-    threshold = int(cfg.flip_probability * (1 << 64))
-    state = _mix64(cfg.seed) or _GAMMA
-    bits = x.bits
-    for i in range(x.length):
-        state, draw = _xorshift_next(state)
-        if draw < threshold:
-            bits ^= 1 << i
-    return BitVector(x.length, bits)
+    mask = _flip_mask(cfg.seed, x.length, _threshold(cfg.flip_probability))
+    return BitVector(x.length, x.bits ^ mask)
 
 
 def inject_errors(x: BitVector, positions: Iterable[int]) -> BitVector:
@@ -103,6 +120,11 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
     decode_success counts exact recoveries; undetected_error counts trials
     where some received cell was a valid codeword other than the sent one;
     residual_bit_errors sums the bit errors left after decoding.
+
+    The seed prefix is folded once per trial, once per row and once per cell,
+    and each copy's flip mask is drawn from that cell prefix; the masks are
+    exactly those of `bsc_corrupt` seeded by `derive_seed(cfg.seed, t, i, j,
+    copy)`, so the report is the same as with one derivation per cell.
     """
     if strategy not in STRATEGIES:
         raise ChannelError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
@@ -119,45 +141,73 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
         if any(c != first for row in sent.cells for c in row):
             raise ChannelError("majority_vote expects the same codeword in every cell")
 
+    lengths = grid.column_lengths()
+    checks = [[code.h.row_words for code in row] for row in grid.cells]
+    threshold = _threshold(cfg.flip_probability)
+    copies = 2 if strategy == "simultaneous" else 1
+    if strategy == "per_cell_decode":
+        # Coset leaders as {syndrome: leader} ints, one map per parity-check matrix.
+        tables: dict[BitMatrix, dict[int, int]] = {}
+        for code in (c for row in grid.cells for c in row):
+            if code.h not in tables:
+                tables[code.h] = {s.bits: e.bits for s, e in code.coset_table.items()}
+        leaders = [[tables[code.h] for code in row] for row in grid.cells]
+
     successes = 0
     undetected = 0
     residual = 0
-    copies = 2 if strategy == "simultaneous" else 1
     for t in range(trials):
-        received = []
-        for copy in range(copies):
-            cells = []
-            for i in range(grid.m):
-                row = []
-                for j in range(grid.n):
-                    seed = derive_seed(cfg.seed, t, i, j, copy)
-                    row.append(bsc_corrupt(ChannelConfig(cfg.flip_probability, seed),
-                                           sent.cells[i][j]))
-                cells.append(tuple(row))
-            received.append(GridCodeword(tuple(cells)))
+        trial_seed = _fold(cfg.seed, t)
+        cell_seeds = []
+        for i in range(grid.m):
+            row_seed = _fold(trial_seed, i)
+            cell_seeds.append([_fold(row_seed, j) for j in range(grid.n)])
+        # errors[copy][i][j] is the flip mask of cell (i, j) in that copy.
+        errors = [[[_flip_mask(_fold(seed, copy), lengths[j], threshold)
+                    for j, seed in enumerate(row)] for row in cell_seeds]
+                  for copy in range(copies)]
 
-        if any(grid.cells[i][j].is_member(word.cells[i][j])
-               and word.cells[i][j] != sent.cells[i][j]
-               for word in received
-               for i in range(grid.m) for j in range(grid.n)):
-            undetected += 1
-
+        # The sent word is a codeword, so a received cell's syndrome is that of
+        # its flip mask, and an untouched cell (mask 0) needs none.
         if strategy == "per_cell_decode":
-            decoded, _ = grid.decode(received[0])
-            ok = decoded == sent
-            residual += _grid_bit_errors(decoded, sent)
-        elif strategy == "majority_vote":
-            winner = grid.majority_vote(received[0])
-            ok = winner == sent.cells[0][0]
-            residual += distance(winner, sent.cells[0][0])
+            # Decoding succeeds in a cell iff its coset leader is the error itself.
+            ok = True
+            hidden = False
+            for i, row in enumerate(errors[0]):
+                for j, e in enumerate(row):
+                    if e:
+                        syndrome = mat_vec_bits(checks[i][j], e)
+                        hidden = hidden or not syndrome
+                        leader = leaders[i][j][syndrome]
+                        residual += (e ^ leader).bit_count()
+                        ok = ok and e == leader
         else:
-            result = grid.simultaneous_reconcile(received[0].to_row_stream(),
-                                                 received[1].to_col_stream())
-            ok = result.word == sent
-            residual += _grid_bit_errors(result.word, sent)
+            # A nonzero error with a zero syndrome turns the cell into another codeword.
+            hidden = any(e and not mat_vec_bits(checks[i][j], e)
+                         for word in errors
+                         for i, row in enumerate(word) for j, e in enumerate(row))
+            received = [_received(sent, word) for word in errors]
+            if strategy == "majority_vote":
+                winner = grid.majority_vote(received[0])
+                ok = winner == sent.cells[0][0]
+                residual += distance(winner, sent.cells[0][0])
+            else:
+                result = grid.simultaneous_reconcile(received[0].to_row_stream(),
+                                                     received[1].to_col_stream())
+                ok = result.word == sent
+                residual += _grid_bit_errors(result.word, sent)
+        if hidden:
+            undetected += 1
         if ok:
             successes += 1
     return TrialReport(trials, successes, undetected, residual)
+
+
+def _received(sent: GridCodeword, errors: list[list[int]]) -> GridCodeword:
+    """The sent word with each cell's flip mask applied; untouched cells are reused."""
+    return GridCodeword(tuple(
+        tuple(BitVector(c.length, c.bits ^ e) if e else c for c, e in zip(cells, masks))
+        for cells, masks in zip(sent.cells, errors)))
 
 
 def _grid_bit_errors(a: GridCodeword, b: GridCodeword) -> int:

@@ -15,10 +15,6 @@ class Gf2Error(ValueError):
     """Raised on dimension mismatches and other GF(2) value errors."""
 
 
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
 @dataclass(frozen=True, slots=True)
 class BitVector:
     """An immutable vector over GF(2); bit i sits at 1 << i of `bits`."""
@@ -214,10 +210,15 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 def mat_vec(a: BitMatrix, x: BitVector) -> BitVector:
     if a.cols != x.length:
         raise Gf2Error(f"dimension mismatch: {a.rows}x{a.cols} times length-{x.length} vector")
+    return BitVector(a.rows, mat_vec_bits(a.row_words, x.bits))
+
+
+def mat_vec_bits(row_words: Sequence[int], x: int) -> int:
+    """Packed matrix times packed vector: bit i is the parity of row i AND x."""
     bits = 0
-    for i, w in enumerate(a.row_words):
-        bits |= _parity(w & x.bits) << i
-    return BitVector(a.rows, bits)
+    for i, w in enumerate(row_words):
+        bits |= ((w & x).bit_count() & 1) << i
+    return bits
 
 
 def eliminate(words: list[int], columns: Iterable[int]) -> list[int]:

@@ -1,0 +1,167 @@
+"""The trial loop against a frozen copy of the loop it replaced.
+
+`reference_run_trial` and its helpers are the per-cell channel loop as it
+stood before the integer kernel: one `derive_seed` over all four indices,
+one `ChannelConfig` and one `bsc_corrupt` per cell, received words built as
+BitVectors, and the undetected-error check and decoding each computing
+their own syndromes.  The copy is verbatim apart from its names and the
+input checks at the top of run_trial, and must not be edited: it is the
+reference for the bit-identical channel stream.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from gridfec.channel import ChannelConfig, TrialReport, run_trial
+from gridfec.families import hamming
+from gridfec.gf2 import BitVector, distance
+from gridfec.grid import GridCode, GridCodeword
+from gridfec.specio import parse_spec
+
+_M64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def reference_mix64(z: int) -> int:
+    """splitmix64 finalizer."""
+    z &= _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def reference_derive_seed(master: int, *indices: int) -> int:
+    """Fold trial/cell indices into the master seed, one mix step each."""
+    state = master & _M64
+    for v in indices:
+        state = reference_mix64((state + _GAMMA + v) & _M64)
+    return state
+
+
+def reference_xorshift_next(state: int) -> tuple[int, int]:
+    state ^= state >> 12
+    state = (state ^ (state << 25)) & _M64
+    state ^= state >> 27
+    return state, (state * 0x2545F4914F6CDD1D) & _M64
+
+
+def reference_bsc_corrupt(cfg: ChannelConfig, x: BitVector) -> BitVector:
+    """Flip each bit independently with probability p; fully seed-determined."""
+    threshold = int(cfg.flip_probability * (1 << 64))
+    state = reference_mix64(cfg.seed) or _GAMMA
+    bits = x.bits
+    for i in range(x.length):
+        state, draw = reference_xorshift_next(state)
+        if draw < threshold:
+            bits ^= 1 << i
+    return BitVector(x.length, bits)
+
+
+def reference_run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
+                        cfg: ChannelConfig, trials: int) -> TrialReport:
+    """The trial loop only; the input checks are exercised by test_channel."""
+    successes = 0
+    undetected = 0
+    residual = 0
+    copies = 2 if strategy == "simultaneous" else 1
+    for t in range(trials):
+        received = []
+        for copy in range(copies):
+            cells = []
+            for i in range(grid.m):
+                row = []
+                for j in range(grid.n):
+                    seed = reference_derive_seed(cfg.seed, t, i, j, copy)
+                    row.append(reference_bsc_corrupt(ChannelConfig(cfg.flip_probability, seed),
+                                                     sent.cells[i][j]))
+                cells.append(tuple(row))
+            received.append(GridCodeword(tuple(cells)))
+
+        if any(grid.cells[i][j].is_member(word.cells[i][j])
+               and word.cells[i][j] != sent.cells[i][j]
+               for word in received
+               for i in range(grid.m) for j in range(grid.n)):
+            undetected += 1
+
+        if strategy == "per_cell_decode":
+            decoded, _ = grid.decode(received[0])
+            ok = decoded == sent
+            residual += reference_grid_bit_errors(decoded, sent)
+        elif strategy == "majority_vote":
+            winner = grid.majority_vote(received[0])
+            ok = winner == sent.cells[0][0]
+            residual += distance(winner, sent.cells[0][0])
+        else:
+            result = grid.simultaneous_reconcile(received[0].to_row_stream(),
+                                                 received[1].to_col_stream())
+            ok = result.word == sent
+            residual += reference_grid_bit_errors(result.word, sent)
+        if ok:
+            successes += 1
+    return TrialReport(trials, successes, undetected, residual)
+
+
+def reference_grid_bit_errors(a: GridCodeword, b: GridCodeword) -> int:
+    return sum(distance(a.cells[i][j], b.cells[i][j])
+               for i in range(a.m) for j in range(a.n))
+
+
+BV = BitVector.from_string
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# Twenty seeds from zero up and twenty from the top of the 64-bit range down,
+# where the index folds wrap around.  They are spaced apart because trial t of
+# seed s draws the same streams as trial t + 1 of seed s - 1.
+SEEDS = [*range(0, 20 * 1009, 1009), *((1 << 64) - 1 - 1009 * k for k in range(20))]
+PROBABILITIES = (0.0, 0.02, 0.2, 0.5, 1.0)
+
+
+def _uniform_hamming():
+    code = hamming(3)
+    word = code.encode(BV("1011"))
+    return GridCode.uniform(code, 2, 2), GridCodeword.from_rows([[word] * 2] * 2)
+
+
+def _distinct_hamming():
+    """Nine separately built hamming(3) codes carrying nine different codewords."""
+    codes = [[hamming(3) for _ in range(3)] for _ in range(3)]
+    grid = GridCode(codes)
+    sent = grid.encode([[BitVector(4, (3 * i + j + 5) % 16) for j in range(3)]
+                        for i in range(3)])
+    return grid, sent
+
+
+def _mixed_from_stream():
+    """The Ex 3.3.1 grid with its sent word read back from a row stream."""
+    grid = parse_spec((FIXTURES / "ex_3_3_1.json").read_text())
+    word = grid.encode([[BV("011"), BV("1100")], [BV("10"), BV("011")],
+                        [BV("110"), BV("0101")]])
+    return grid, grid.from_row_stream(word.to_row_stream())
+
+
+CASES = {
+    "per_cell_uniform": ("per_cell_decode", _uniform_hamming),
+    "per_cell_distinct": ("per_cell_decode", _distinct_hamming),
+    "per_cell_mixed": ("per_cell_decode", _mixed_from_stream),
+    "vote_uniform": ("majority_vote", _uniform_hamming),
+    "simultaneous_uniform": ("simultaneous", _uniform_hamming),
+    "simultaneous_mixed": ("simultaneous", _mixed_from_stream),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_matches_frozen_trial_loop(case):
+    strategy, build = CASES[case]
+    grid, sent = build()
+    for seed in SEEDS:
+        for p in PROBABILITIES:
+            cfg = ChannelConfig(p, seed)
+            expected = reference_run_trial(grid, sent, strategy, cfg, 4)
+            assert run_trial(grid, sent, strategy, cfg, 4) == expected, (seed, p)
+
+
+def test_reference_reproduces_pinned_stream():
+    # The frozen generator itself still gives the pinned output of test_channel.
+    out = reference_bsc_corrupt(ChannelConfig(0.5, seed=12345), BitVector.zeros(16))
+    assert out.bits == 0xD2D6
