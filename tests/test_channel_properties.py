@@ -33,8 +33,7 @@ U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
                   j=st.integers(0, 255), copy=st.integers(0, 1),
                   length=st.integers(0, 64), p=st.floats(0.0, 1.0))
 def test_kernel_mask_matches_bsc_corrupt(seed, t, i, j, copy, length, p):
-    trial_seed = _fold(seed, t)
-    cell_seed = _fold(_fold(trial_seed, i), j)
+    cell_seed = _fold(_fold(_fold(seed, t), i), j)
     mask = _flip_mask(_fold(cell_seed, copy), length, _threshold(p))
     zeros = BitVector.zeros(length)
     cfg = ChannelConfig(p, derive_seed(seed, t, i, j, copy))
