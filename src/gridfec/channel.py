@@ -192,8 +192,7 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
                 ok = winner == sent.cells[0][0]
                 residual += distance(winner, sent.cells[0][0])
             else:
-                result = grid.simultaneous_reconcile(received[0].to_row_stream(),
-                                                     received[1].to_col_stream())
+                result = grid.simultaneous_reconcile(received[0], received[1])
                 ok = result.word == sent
                 residual += _grid_bit_errors(result.word, sent)
         if hidden:

@@ -172,8 +172,12 @@ def _expect_grid(code: AnyCode) -> GridCode:
     return code
 
 
+def _read_lines(path: Path) -> list[str]:
+    return [ln for ln in path.read_text().splitlines() if ln.strip()]
+
+
 def _read_stream(args, grid: GridCode) -> GridCodeword:
-    lines = [ln for ln in args.stream_file.read_text().splitlines() if ln.strip()]
+    lines = _read_lines(args.stream_file)
     return grid.from_col_stream(lines) if args.by == "col" else grid.from_row_stream(lines)
 
 
@@ -289,7 +293,7 @@ def _super_dual(args) -> int:
 
 def _grid_encode(args) -> int:
     grid = _expect_grid(_load(args))
-    lines = [ln for ln in args.messages_file.read_text().splitlines() if ln.strip()]
+    lines = _read_lines(args.messages_file)
     if len(lines) != grid.m:
         raise SpecError(f"expected {grid.m} message rows, got {len(lines)}")
     messages = []
@@ -334,9 +338,9 @@ def _grid_vote(args) -> int:
 
 def _grid_reconcile(args) -> int:
     grid = _expect_grid(_load(args))
-    rows = [ln for ln in args.row_file.read_text().splitlines() if ln.strip()]
-    cols = [ln for ln in args.col_file.read_text().splitlines() if ln.strip()]
-    result = grid.simultaneous_reconcile(rows, cols)
+    row_word = grid.from_row_stream(_read_lines(args.row_file))
+    col_word = grid.from_col_stream(_read_lines(args.col_file))
+    result = grid.simultaneous_reconcile(row_word, col_word)
     for line in result.word.to_row_stream():
         print(line)
     if result.disagreements:
@@ -378,8 +382,7 @@ def _sim_run(args) -> int:
         cell = BitVector.from_string(args.fill)
         sent = GridCodeword.from_rows([[cell] * grid.n for _ in range(grid.m)])
     elif args.stream_file is not None:
-        lines = [ln for ln in args.stream_file.read_text().splitlines() if ln.strip()]
-        sent = grid.from_row_stream(lines)
+        sent = grid.from_row_stream(_read_lines(args.stream_file))
     else:
         raise SpecError("give the sent word via --fill or --stream-file")
     cfg = ChannelConfig(args.p, args.seed)

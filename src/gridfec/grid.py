@@ -4,8 +4,10 @@ cellwise dot product and orthogonal grids.
 
 Grid constraints: all cells of a column share one length, all cells of a row
 share one check-symbol count.  A grid codeword may mark cells as absent
-(sender-side empty marker); absent cells serialize as the token MISSING_CELL
-and are skipped by syndromes and voting.
+(sender-side empty marker); absent cells are skipped by syndromes and voting.
+Streams are only a file format: `format_super_word` and `parse_segments` are
+the one writer and reader of '|'-joined lines (absent cell: MISSING_CELL), and
+the strategies, `simultaneous_reconcile(row_word, col_word)` too, take words.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .approx import pseudo_inner
 from .gf2 import BitVector
@@ -43,8 +45,8 @@ class GridCodeword:
 
     @classmethod
     def parse_rows(cls, rows: Sequence[Sequence[str]]) -> "GridCodeword":
-        return cls.from_rows([[None if t == MISSING_CELL else BitVector.from_string(t)
-                               for t in row] for row in rows])
+        return cls.from_rows([parse_segments("|".join(row), len(row), f"row {i}")
+                              for i, row in enumerate(rows)])
 
     @property
     def m(self) -> int:
@@ -59,14 +61,11 @@ class GridCodeword:
 
     def to_row_stream(self) -> list[str]:
         """Row i as its cells left to right, '|'-joined."""
-        return ["|".join(MISSING_CELL if c is None else str(c) for c in row)
-                for row in self.cells]
+        return [format_super_word(row) for row in self.cells]
 
     def to_col_stream(self) -> list[str]:
         """Column j as its cells top to bottom, '|'-joined."""
-        return ["|".join(MISSING_CELL if self.cells[i][j] is None else str(self.cells[i][j])
-                         for i in range(self.m))
-                for j in range(self.n)]
+        return [format_super_word(col) for col in zip(*self.cells)]
 
 
 class GridCode:
@@ -163,17 +162,16 @@ class GridCode:
     def from_row_stream(self, lines: Sequence[str]) -> GridCodeword:
         if len(lines) != self.m:
             raise GridError(f"expected {self.m} row lines, got {len(lines)}")
-        rows = [_split_segments(line, self.n, f"row {i}") for i, line in enumerate(lines)]
-        word = GridCodeword.parse_rows(rows)
+        word = GridCodeword.from_rows([parse_segments(line, self.n, f"row {i}")
+                                       for i, line in enumerate(lines)])
         self._check_shape(word)
         return word
 
     def from_col_stream(self, lines: Sequence[str]) -> GridCodeword:
         if len(lines) != self.n:
             raise GridError(f"expected {self.n} column lines, got {len(lines)}")
-        cols = [_split_segments(line, self.m, f"column {j}") for j, line in enumerate(lines)]
-        rows = [[cols[j][i] for j in range(self.n)] for i in range(self.m)]
-        word = GridCodeword.parse_rows(rows)
+        cols = [parse_segments(line, self.m, f"column {j}") for j, line in enumerate(lines)]
+        word = GridCodeword.from_rows(list(zip(*cols)))
         self._check_shape(word)
         return word
 
@@ -230,16 +228,16 @@ class GridCode:
                 best_idx = i
         return best_idx
 
-    def simultaneous_reconcile(self, row_stream: Sequence[str],
-                               col_stream: Sequence[str]) -> "ReconcileResult":
+    def simultaneous_reconcile(self, row_word: GridCodeword,
+                               col_word: GridCodeword) -> "ReconcileResult":
         """Merge a row-transmitted and a column-transmitted copy cell by cell.
 
         Agreeing cells pass through; disagreements take the copy with a zero
         syndrome, else both copies are coset-decoded and the smaller error
-        weight wins (tie: the row copy).
+        weight wins (tie: the row copy).  GridError on a misshapen copy.
         """
-        row_word = self.from_row_stream(row_stream)
-        col_word = self.from_col_stream(col_stream)
+        self._check_shape(row_word)
+        self._check_shape(col_word)
         disagreements: list[tuple[int, int]] = []
         out = []
         for i in range(self.m):
@@ -286,13 +284,21 @@ class ReconcileResult:
     disagreements: tuple[tuple[int, int], ...]
 
 
-def _split_segments(line: str, count: int, what: str) -> list[str]:
+def format_super_word(segments: Iterable[Optional[BitVector]]) -> str:
+    """The segments '|'-joined; an absent cell is the token MISSING_CELL."""
+    return "|".join(MISSING_CELL if s is None else str(s) for s in segments)
+
+
+def parse_segments(line: str, count: Optional[int] = None,
+                   what: str = "word") -> list[Optional[BitVector]]:
+    """The cells of a '|'-separated line, MISSING_CELL read as None; GridError on
+    an empty segment or, when `count` is given, on another number of segments."""
     parts = line.split("|")
-    if len(parts) != count:
+    if count is not None and len(parts) != count:
         raise GridError(f"{what} has {len(parts)} segments, expected {count}")
-    if any(p == "" for p in parts):
+    if "" in parts:
         raise GridError(f"{what} contains an empty segment")
-    return parts
+    return [None if p == MISSING_CELL else BitVector.from_string(p) for p in parts]
 
 
 def grid_dot(x: GridCodeword, y: GridCodeword) -> tuple[tuple[int, ...], ...]:

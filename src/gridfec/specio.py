@@ -12,8 +12,9 @@ A code spec is an object with a "kind" key:
 A composition spec is an object with a "shape" key ("row", "column" or
 "grid"); "cells" holds code specs (or names defined in an optional "codes"
 table): a list for row/column shapes, a rectangular array of arrays for
-grids.  Words are '0'/'1' runs joined by '|'; an absent grid cell is the
-single token '·' between separators.
+grids.  The family kinds are refused, before anything is built, when the code
+would be longer than MAX_CODE_LENGTH bits.  Words are '0'/'1' runs joined by
+'|', an absent grid cell the token '·'; the grid module reads and writes them.
 """
 
 from __future__ import annotations
@@ -23,11 +24,14 @@ from typing import Optional, Union
 
 from .families import CyclicSpec, cyclic_from_poly, hamming, parity_check, repetition
 from .gf2 import BitMatrix, BitVector, Gf2Error, Gf2Poly
-from .grid import MISSING_CELL, GridCode
+from .grid import GridCode, GridError, parse_segments
+from .grid import format_super_word as format_super_word  # re-exported
 from .linear import CodeError, LinearCode
 from .super_codes import SuperColumnCode, SuperCodeword, SuperRowCode
 
 AnyCode = Union[LinearCode, SuperRowCode, SuperColumnCode, GridCode]
+
+MAX_CODE_LENGTH = 1024  # longest code a family spec may ask for (hamming: m <= 10)
 
 
 class SpecError(ValueError):
@@ -57,13 +61,13 @@ def _parse_code(doc, where: str) -> LinearCode:
         if kind == "generator":
             return LinearCode.from_generator(_matrix(doc, "rows", where))
         if kind == "hamming":
-            return hamming(_integer(doc, "m", where))
+            return hamming(_capped(doc, "m", where))
         if kind == "repetition":
-            return repetition(_integer(doc, "n", where))
+            return repetition(_capped(doc, "n", where))
         if kind == "parity_check":
-            return parity_check(_integer(doc, "n", where))
+            return parity_check(_capped(doc, "n", where))
         if kind == "cyclic":
-            n = _integer(doc, "n", where)
+            n = _capped(doc, "n", where)
             g = doc.get("g")
             if not isinstance(g, str):
                 raise SpecError(f"{where or 'spec'}: cyclic kind needs a 'g' bit string")
@@ -126,27 +130,26 @@ def _integer(doc: dict, key: str, where: str) -> int:
     return v
 
 
+def _capped(doc: dict, key: str, where: str) -> int:
+    """`_integer`, refused before construction if the code would exceed MAX_CODE_LENGTH."""
+    v = _integer(doc, key, where)
+    # A Hamming code of order m has length 2^m - 1.
+    limit = (MAX_CODE_LENGTH + 1).bit_length() - 1 if key == "m" else MAX_CODE_LENGTH
+    if v > limit:
+        raise SpecError(f"{where or 'spec'}: {doc['kind']} {key}={v} exceeds the limit "
+                        f"{limit} (codes are at most {MAX_CODE_LENGTH} bits long)")
+    return v
+
+
 # -- word syntax --------------------------------------------------------------
 
 
 def parse_super_word(text: str) -> list[Optional[BitVector]]:
     """Split a '|'-separated word; the token '·' marks an absent cell."""
-    segments: list[Optional[BitVector]] = []
-    for token in text.strip().split("|"):
-        if token == "":
-            raise SpecError("empty segment in super word")
-        if token == MISSING_CELL:
-            segments.append(None)
-            continue
-        try:
-            segments.append(BitVector.from_string(token))
-        except Gf2Error as exc:
-            raise SpecError(str(exc)) from exc
-    return segments
-
-
-def format_super_word(segments) -> str:
-    return "|".join(MISSING_CELL if s is None else str(s) for s in segments)
+    try:
+        return parse_segments(text.strip(), what="super word")
+    except (GridError, Gf2Error) as exc:
+        raise SpecError(str(exc)) from exc
 
 
 def to_super_codeword(segments: list[Optional[BitVector]]) -> SuperCodeword:

@@ -4,9 +4,12 @@
 stood before the integer kernel: one `derive_seed` over all four indices,
 one `ChannelConfig` and one `bsc_corrupt` per cell, received words built as
 BitVectors, and the undetected-error check and decoding each computing
-their own syndromes.  The copy is verbatim apart from its names and the
-input checks at the top of run_trial, and must not be edited: it is the
-reference for the bit-identical channel stream.
+their own syndromes.  The copy is verbatim apart from its names, the
+input checks at the top of run_trial, and the reconcile call, which parses
+back the row and column streams it formats because `simultaneous_reconcile`
+now takes grid words; the reference thus still runs the text path.  It must
+not be edited otherwise: it is the reference for the bit-identical channel
+stream.
 """
 
 from pathlib import Path
@@ -93,8 +96,9 @@ def reference_run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
             ok = winner == sent.cells[0][0]
             residual += distance(winner, sent.cells[0][0])
         else:
-            result = grid.simultaneous_reconcile(received[0].to_row_stream(),
-                                                 received[1].to_col_stream())
+            result = grid.simultaneous_reconcile(
+                grid.from_row_stream(received[0].to_row_stream()),
+                grid.from_col_stream(received[1].to_col_stream()))
             ok = result.word == sent
             residual += reference_grid_bit_errors(result.word, sent)
         if ok:

@@ -67,6 +67,15 @@ class TestCodeCommands:
         rc = main(["code", "encode", "--spec", fx("ex_1_2_1.json"), "--message", "11"])
         assert rc == 2
 
+    def test_oversized_spec_exits_two(self, capsys, tmp_path):
+        spec = tmp_path / "huge.json"
+        spec.write_text('{"kind": "hamming", "m": 40}')
+        rc = main(["code", "info", "--spec", str(spec)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: spec: hamming m=40 exceeds the limit")
+        assert "Traceback" not in err
+
 
 class TestSuperCommands:
     def test_new_summary(self, capsys):
@@ -187,6 +196,18 @@ class TestGridCommands:
         assert rc == 1
         assert out.splitlines()[0] == "0100101|0100101"
         assert "disagreeing cells: (0,1)" in out
+
+    def test_reconcile_column_segment_count_exits_two(self, capsys, tmp_path):
+        rows = tmp_path / "rows.txt"
+        cols = tmp_path / "cols.txt"
+        rows.write_text((FIXTURES / "ex_3_3_1_rows.txt").read_text())
+        cols.write_text("100001|111011\n0100101|1010101|1111100\n")
+        rc = main(["grid", "reconcile", "--spec", fx("ex_3_3_1.json"),
+                   "--row-file", str(rows), "--col-file", str(cols)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: column 0 has 2 segments, expected 3" in err
+        assert "Traceback" not in err
 
     def test_chart_selection(self, capsys, tmp_path):
         grid_spec = tmp_path / "grid.json"

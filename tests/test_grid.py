@@ -214,7 +214,8 @@ class TestBestRowSelect:
 class TestReconcile:
     def test_identical_streams(self):
         g = grid_331()
-        result = g.simultaneous_reconcile(ROW_STREAM_331, COL_STREAM_331)
+        result = g.simultaneous_reconcile(g.from_row_stream(ROW_STREAM_331),
+                                          g.from_col_stream(COL_STREAM_331))
         assert result.word == g.from_row_stream(ROW_STREAM_331)
         assert result.disagreements == ()
 
@@ -223,8 +224,7 @@ class TestReconcile:
         sent = g.encode([[BV("1010"), BV("0110")]])
         corrupted = [list(r) for r in sent.cells]
         corrupted[0][1] = corrupted[0][1].with_flipped([2])
-        col_stream = GridCodeword.from_rows(corrupted).to_col_stream()
-        result = g.simultaneous_reconcile(sent.to_row_stream(), col_stream)
+        result = g.simultaneous_reconcile(sent, GridCodeword.from_rows(corrupted))
         assert result.word == sent
         assert result.disagreements == ((0, 1),)
 
@@ -233,10 +233,23 @@ class TestReconcile:
         sent = g.encode([[BV("1010")]])
         a = sent.cells[0][0].with_flipped([1])
         b = sent.cells[0][0].with_flipped([5])
-        result = g.simultaneous_reconcile(
-            GridCodeword.from_rows([[a]]).to_row_stream(),
-            GridCodeword.from_rows([[b]]).to_col_stream())
+        result = g.simultaneous_reconcile(GridCodeword.from_rows([[a]]),
+                                          GridCodeword.from_rows([[b]]))
         assert result.word == sent
+
+    def test_wrong_order_rejected(self):
+        g = grid_331()
+        word = g.from_row_stream(ROW_STREAM_331)
+        with pytest.raises(GridError, match="word is 2x3, grid is 3x2"):
+            g.simultaneous_reconcile(word, GridCodeword.from_rows(list(zip(*word.cells))))
+
+    def test_wrong_cell_length_rejected(self):
+        g = grid_331()
+        word = g.from_row_stream(ROW_STREAM_331)
+        short = GridCodeword.parse_rows([["10000", "0100101"], ["111011", "1010101"],
+                                         ["111100", "1111100"]])
+        with pytest.raises(GridError, match=r"cell \(0, 0\) has length 5, expected 6"):
+            g.simultaneous_reconcile(short, word)
 
 
 class TestChart:

@@ -7,6 +7,7 @@ from gridfec.families import hamming
 from gridfec.grid import GridCode
 from gridfec.linear import LinearCode
 from gridfec.specio import (
+    MAX_CODE_LENGTH,
     SpecError,
     format_super_word,
     parse_spec,
@@ -83,6 +84,32 @@ class TestParseSpec:
     def test_bad_matrix_rows(self):
         with pytest.raises(SpecError):
             parse_spec('{"kind": "parity", "rows": ["10", "1"]}')
+
+
+class TestSizeCap:
+    HAMMING_M = (MAX_CODE_LENGTH + 1).bit_length() - 1  # largest m with 2^m - 1 <= cap
+
+    @pytest.mark.parametrize("doc, key, limit", [
+        ({"kind": "hamming", "m": HAMMING_M + 1}, "m", HAMMING_M),
+        ({"kind": "repetition", "n": MAX_CODE_LENGTH + 1}, "n", MAX_CODE_LENGTH),
+        ({"kind": "parity_check", "n": MAX_CODE_LENGTH + 1}, "n", MAX_CODE_LENGTH),
+        ({"kind": "cyclic", "n": MAX_CODE_LENGTH + 1, "g": "11"}, "n", MAX_CODE_LENGTH),
+    ])
+    def test_just_over_the_cap_rejected(self, doc, key, limit):
+        message = f"{doc['kind']} {key}={doc[key]} exceeds the limit {limit}"
+        with pytest.raises(SpecError, match=message):
+            parse_spec(json.dumps(doc))
+
+    def test_hamming_cap_is_the_length_cap(self):
+        assert (1 << self.HAMMING_M) - 1 <= MAX_CODE_LENGTH < (1 << (self.HAMMING_M + 1)) - 1
+        assert parse_spec(json.dumps({"kind": "hamming", "m": self.HAMMING_M})).n \
+            == (1 << self.HAMMING_M) - 1
+
+    def test_cap_applies_inside_compositions(self):
+        doc = {"shape": "row", "codes": {"big": {"kind": "hamming", "m": 40}},
+               "cells": ["big"]}
+        with pytest.raises(SpecError, match="codes\\['big'\\]: hamming m=40"):
+            parse_spec(json.dumps(doc))
 
 
 class TestSuperWordSyntax:
