@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .gf2 import BitMatrix, BitVector, Gf2Error, distance, mat_vec_bits
+from .gf2 import BitVector, Gf2Error, distance, mat_vec_bits
 from .grid import GridCode, GridCodeword
 
 _M64 = (1 << 64) - 1
@@ -146,12 +146,8 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
     threshold = _threshold(cfg.flip_probability)
     copies = 2 if strategy == "simultaneous" else 1
     if strategy == "per_cell_decode":
-        # Coset leaders as {syndrome: leader} ints, one map per parity-check matrix.
-        tables: dict[BitMatrix, dict[int, int]] = {}
-        for code in (c for row in grid.cells for c in row):
-            if code.h not in tables:
-                tables[code.h] = {s.bits: e.bits for s, e in code.coset_table.items()}
-        leaders = [[tables[code.h] for code in row] for row in grid.cells]
+        # Each cell's own coset table, built (or refused by its guard) before any trial.
+        tables = [[code.coset_table for code in row] for row in grid.cells]
 
     successes = 0
     undetected = 0
@@ -178,7 +174,7 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
                     if e:
                         syndrome = mat_vec_bits(checks[i][j], e)
                         hidden = hidden or not syndrome
-                        leader = leaders[i][j][syndrome]
+                        leader = tables[i][j][syndrome].bits
                         residual += (e ^ leader).bit_count()
                         ok = ok and e == leader
         else:

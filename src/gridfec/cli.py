@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .approx import ApproxDecodeError, approx_decode
@@ -172,6 +173,12 @@ def _expect_grid(code: AnyCode) -> GridCode:
     return code
 
 
+def _print_rate(k: int, n: int) -> None:
+    """Print "rate: k/n", with the reduced fraction appended when it differs."""
+    rate = Fraction(k, n)
+    print(f"rate: {k}/{n}" if rate.denominator == n else f"rate: {k}/{n} = {rate}")
+
+
 def _read_lines(path: Path) -> list[str]:
     return [ln for ln in path.read_text().splitlines() if ln.strip()]
 
@@ -188,11 +195,7 @@ def _code_info(args) -> int:
     c = _expect_linear(_load(args))
     print(f"(n, k) = ({c.n}, {c.k})")
     print(f"check symbols: {c.n - c.k}")
-    rate = c.transmission_rate()
-    if (rate.numerator, rate.denominator) == (c.k, c.n):
-        print(f"rate: {c.k}/{c.n}")
-    else:
-        print(f"rate: {c.k}/{c.n} = {rate}")
+    _print_rate(c.k, c.n)
     try:
         d = c.min_distance()
         print(f"min distance: {d}")
@@ -235,7 +238,7 @@ def _super_new(args) -> int:
     for i, c in enumerate(sc.components):
         print(f"  component {i}: ({c.n}, {c.k})")
     print(f"cardinality: {sc.cardinality()}")
-    _print_rate(sc)
+    _print_rate(sum(c.k for c in sc.components), sum(c.n for c in sc.components))
     return 0
 
 
@@ -259,18 +262,9 @@ def _super_decode(args) -> int:
     return DETECTED_ERROR if detected else 0
 
 
-def _print_rate(sc) -> None:
-    total_k = sum(c.k for c in sc.components)
-    total_n = sum(c.n for c in sc.components)
-    rate = sc.transmission_rate()
-    if (rate.numerator, rate.denominator) == (total_k, total_n):
-        print(f"rate: {total_k}/{total_n}")
-    else:
-        print(f"rate: {total_k}/{total_n} = {rate}")
-
-
 def _super_rate(args) -> int:
-    _print_rate(_expect_super(_load(args)))
+    sc = _expect_super(_load(args))
+    _print_rate(sum(c.k for c in sc.components), sum(c.n for c in sc.components))
     return 0
 
 

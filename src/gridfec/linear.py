@@ -2,15 +2,16 @@
 
 A code is the null space of its parity-check matrix H.  Every value here is
 immutable after construction; expensive derivations (codeword set, coset
-table) are computed once and cached.
+table) are computed once and cached.  Enumeration runs over plain ints, and
+the coset table is keyed by the syndrome's bits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from typing import Optional
+from itertools import chain, combinations
+from typing import Iterator, Optional
 
 from .gf2 import (
     BitMatrix,
@@ -18,6 +19,7 @@ from .gf2 import (
     eliminate,
     mat_mul,
     mat_vec,
+    mat_vec_bits,
     null_space_basis,
     rank,
     row_space_basis,
@@ -122,12 +124,18 @@ class LinearCode:
     @cached_property
     def codewords(self) -> frozenset[BitVector]:
         """All 2^k codewords (guarded by MAX_MESSAGE_BITS)."""
+        return frozenset(BitVector(self.n, w) for w in self._word_ints())
+
+    def _word_ints(self) -> Iterator[int]:
+        """Every codeword's bits in Gray-code order; raises CapacityError on first use."""
         if self.k > MAX_MESSAGE_BITS:
             raise CapacityError(f"k={self.k} exceeds the enumeration guard of {MAX_MESSAGE_BITS}")
-        words = {BitVector.zeros(self.n)}
-        for v in self._basis():
-            words |= {w ^ v for w in words}
-        return frozenset(words)
+        rows = [v.bits for v in self._basis()]
+        w = 0
+        yield w
+        for i in range(1, 1 << len(rows)):
+            w ^= rows[(i & -i).bit_length() - 1]  # the row indexed by i's trailing zeros
+            yield w
 
     def _basis(self) -> list[BitVector]:
         """A basis of the code: the rows of the given G, else the null space of H."""
@@ -165,7 +173,7 @@ class LinearCode:
     def min_distance(self) -> int:
         if self.k < 1:
             raise CodeError("the zero code has no nonzero codeword")
-        return min(w.weight() for w in self.codewords if w.bits != 0)
+        return min(w.bit_count() for w in self._word_ints() if w)
 
     def error_capability(self) -> int:
         """t = floor((d - 1) / 2)."""
@@ -183,8 +191,8 @@ class LinearCode:
     # -- coset decoding ----------------------------------------------------
 
     @cached_property
-    def coset_table(self) -> dict[Syndrome, BitVector]:
-        """Map from syndrome to its minimum-weight coset leader.
+    def coset_table(self) -> dict[int, BitVector]:
+        """Map from a syndrome's bits (`syndrome(y).bits`) to its minimum-weight coset leader.
 
         Ties between minimum-weight vectors are broken toward the smallest
         support (earliest flipped positions), matching the worked coset tables.
@@ -193,27 +201,23 @@ class LinearCode:
         if m > MAX_CHECK_BITS:
             raise CapacityError(f"n-k={m} exceeds the coset guard of {MAX_CHECK_BITS}")
         total = 1 << m
-        leaders: dict[BitVector, BitVector] = {}
-        zero = BitVector.zeros(self.n)
-        leaders[self.syndrome(zero)] = zero
-        for w in range(1, self.n + 1):
+        leaders = {0: BitVector.zeros(self.n)}
+        units = [1 << i for i in range(self.n)]
+        # Supports by ascending weight, each weight in ascending lexicographic
+        # order, so the first vector seen per syndrome has the smallest support.
+        supports = chain.from_iterable(combinations(units, w) for w in range(1, self.n + 1))
+        for support in supports:
             if len(leaders) == total:
                 break
-            # combinations() yields supports in ascending lexicographic order,
-            # so the first vector seen per syndrome has the smallest support.
-            for support in combinations(range(self.n), w):
-                e = zero.with_flipped(support)
-                s = self.syndrome(e)
-                if s not in leaders:
-                    leaders[s] = e
-                    if len(leaders) == total:
-                        break
+            e = sum(support)
+            s = mat_vec_bits(self.h.row_words, e)
+            if s not in leaders:
+                leaders[s] = BitVector(self.n, e)
         return leaders
 
     def decode(self, y: BitVector) -> tuple[BitVector, BitVector]:
         """Coset-leader decoding: returns (codeword, presumed error)."""
-        s = self.syndrome(y)
-        e = self.coset_table[s]
+        e = self.coset_table[self.syndrome(y).bits]
         return y ^ e, e
 
     # -- derived codes -----------------------------------------------------
@@ -230,9 +234,8 @@ class LinearCode:
         return LinearCode(BitMatrix.from_rows(code_basis), g_dual)
 
     def is_cyclic(self) -> bool:
-        """True iff the right cyclic shift of every codeword is a codeword."""
-        words = self.codewords
-        return all(w.shift_right() in words for w in words)
+        """True iff every codeword's cyclic shift is a codeword; by linearity, a basis suffices."""
+        return all(self.is_member(v.shift_right()) for v in self._basis())
 
 
 def _standard_parity_from_generator(g: BitMatrix) -> Optional[BitMatrix]:

@@ -12,8 +12,9 @@ A code spec is an object with a "kind" key:
 A composition spec is an object with a "shape" key ("row", "column" or
 "grid"); "cells" holds code specs (or names defined in an optional "codes"
 table): a list for row/column shapes, a rectangular array of arrays for
-grids.  The family kinds are refused, before anything is built, when the code
-would be longer than MAX_CODE_LENGTH bits.  Words are '0'/'1' runs joined by
+grids.  Identical inline cell specs, in any key order, share one LinearCode.
+The family kinds are refused, before anything is built, when the code would
+be longer than MAX_CODE_LENGTH bits.  Words are '0'/'1' runs joined by
 '|', an absent grid cell the token '·'; the grid module reads and writes them.
 """
 
@@ -85,13 +86,17 @@ def _parse_composition(doc: dict) -> AnyCode:
     if not isinstance(named, dict):
         raise SpecError("'codes' must map names to code specs")
     table = {name: _parse_code(spec, f"codes[{name!r}]") for name, spec in named.items()}
+    inline: dict[str, LinearCode] = {}
 
     def resolve(entry, where: str) -> LinearCode:
         if isinstance(entry, str):
             if entry not in table:
                 raise SpecError(f"{where}: unknown code name {entry!r}")
             return table[entry]
-        return _parse_code(entry, where)
+        key = json.dumps(entry, sort_keys=True)
+        if key not in inline:
+            inline[key] = _parse_code(entry, where)
+        return inline[key]
 
     cells = doc.get("cells")
     if cells is None:

@@ -63,6 +63,13 @@ class TestCodeCommands:
         assert rc == 0
         assert out == (FIXTURES / "golden_code_info_cyclic.txt").read_text()
 
+    def test_info_past_the_enumeration_guard(self, capsys, tmp_path):
+        spec = tmp_path / "pc26.json"
+        spec.write_text('{"kind": "parity_check", "n": 26}')
+        rc, out = run(capsys, "code", "info", "--spec", str(spec))
+        assert rc == 0
+        assert "min distance: skipped (code too large to enumerate)\n" in out
+
     def test_validation_error_exits_two(self, capsys):
         rc = main(["code", "encode", "--spec", fx("ex_1_2_1.json"), "--message", "11"])
         assert rc == 2

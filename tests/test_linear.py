@@ -165,6 +165,11 @@ class TestMinDistance:
         with pytest.raises(CodeError):
             LinearCode.from_parity(BitMatrix.identity(3)).min_distance()
 
+    def test_enumeration_guard(self):
+        from gridfec.families import parity_check
+        with pytest.raises(CapacityError):
+            parity_check(26).min_distance()  # k = 25 > MAX_MESSAGE_BITS
+
     def test_error_capability(self):
         assert LinearCode.from_parity(H_126).error_capability() == 0  # d = 2
 
@@ -183,7 +188,7 @@ class TestCosetDecoding:
 
     def test_zero_syndrome_maps_to_zero(self):
         c = LinearCode.from_parity(H_126)
-        assert c.coset_table[BitVector.zeros(2)] == BitVector.zeros(5)
+        assert c.coset_table[0] == BitVector.zeros(5)
 
     def test_member_decodes_to_itself(self):
         c = LinearCode.from_parity(H_126)
@@ -204,7 +209,7 @@ class TestCosetDecoding:
             c = random_code(rng, max_n=8)
             for syndrome, leader in c.coset_table.items():
                 coset = [BitVector(c.n, v) for v in range(1 << c.n)
-                         if c.syndrome(BitVector(c.n, v)) == syndrome]
+                         if c.syndrome(BitVector(c.n, v)).bits == syndrome]
                 assert leader.weight() == min(v.weight() for v in coset)
 
     def test_capacity_guard(self):
@@ -257,6 +262,36 @@ class TestIsCyclic:
         c = LinearCode.from_parity(H_121)
         assert BV("0100010") not in c.codewords
         assert not c.is_cyclic()
+
+    def test_past_the_enumeration_guard(self):
+        from gridfec.families import parity_check, repetition
+        assert parity_check(30).is_cyclic()
+        assert repetition(30).is_cyclic()
+        # x0 + x1 = 0 on 30 bits: k = 29, and the shift of 110...0 breaks the check.
+        c = LinearCode.from_parity(BitMatrix(1, 30, (0b11,)))
+        assert c.k > 24
+        assert not c.is_cyclic()
+
+    def test_matches_all_codewords_definition(self):
+        from gridfec.families import CyclicSpec, cyclic_from_poly
+        from gridfec.gf2 import Gf2Poly
+        rng = random.Random(12)
+        codes = [random_code(rng) for _ in range(30)]
+        while len(codes) < 60:
+            n = rng.randint(2, 10)
+            try:
+                cyc = cyclic_from_poly(CyclicSpec(n, Gf2Poly(rng.getrandbits(n) | 1)))
+            except CodeError:
+                continue
+            # Both basis sources: the generator rows and the null space of H.
+            codes += [cyc, LinearCode.from_parity(cyc.h)]
+        seen = set()
+        for c in codes:
+            words = c.codewords
+            expected = all(w.shift_right() in words for w in words)
+            assert c.is_cyclic() == expected
+            seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestRate:

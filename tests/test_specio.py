@@ -62,6 +62,19 @@ class TestParseSpec:
         assert isinstance(grid, GridCode)
         assert grid.column_lengths() == (6, 7)
 
+    def test_identical_inline_cells_share_one_code(self):
+        ham = {"kind": "hamming", "m": 3}
+        cyc = {"kind": "cyclic", "n": 7, "g": "1101"}
+        doc = {"shape": "grid", "codes": {"h": ham},
+               "cells": [[ham, "h"], [cyc, {"m": 3, "kind": "hamming"}]]}
+        grid = parse_spec(json.dumps(doc))
+        assert grid.cells[0][0] is grid.cells[1][1]
+        assert grid.cells[0][1] is not grid.cells[0][0]  # a named entry stays its own
+        assert grid.cells[1][0] is not grid.cells[0][0]
+        assert not grid.is_uniform()
+        doc["cells"][1][0] = {"m": 3, "kind": "hamming"}
+        assert parse_spec(json.dumps(doc)).is_uniform()
+
     def test_mismatched_row_checks_rejected(self):
         doc = {"shape": "row", "cells": [
             {"kind": "hamming", "m": 3}, {"kind": "repetition", "n": 6}]}
