@@ -5,14 +5,25 @@ stood before the integer kernel: one `derive_seed` over all four indices,
 one `ChannelConfig` and one `bsc_corrupt` per cell, received words built as
 BitVectors, and the undetected-error check and decoding each computing
 their own syndromes.  The copy is verbatim apart from its names, the
-input checks at the top of run_trial, and the reconcile call, which parses
-back the row and column streams it formats because `simultaneous_reconcile`
-now takes grid words; the reference thus still runs the text path.  It must
-not be edited otherwise: it is the reference for the bit-identical channel
+input checks at the top of run_trial, and the two strategy calls, which go to
+the frozen rules below; the reconcile call parses back the row and column
+streams it formats, so the reference still runs the text path.  It must not
+be edited otherwise: it is the reference for the bit-identical channel
 stream.
+
+The strategy rules are frozen here too: `reference_majority_vote`,
+`reference_vote`, `reference_reconcile` and `reference_arbitrate` are
+verbatim copies of the BitVector voting and arbitration of
+`GridCode.majority_vote` and `GridCode.simultaneous_reconcile` as they stood
+before those rules moved to cell bits, minus the shape checks and the
+disagreement list that the loop does not read.  So the reference shares no
+rule with the code under test; it still uses `LinearCode.syndrome` and
+`decode`, `GridCode.decode` and the stream round trip.
 """
 
+from collections import Counter
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -20,6 +31,7 @@ from gridfec.channel import ChannelConfig, TrialReport, run_trial
 from gridfec.families import hamming
 from gridfec.gf2 import BitVector, distance
 from gridfec.grid import GridCode, GridCodeword
+from gridfec.linear import LinearCode
 from gridfec.specio import parse_spec
 
 _M64 = (1 << 64) - 1
@@ -92,15 +104,16 @@ def reference_run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
             ok = decoded == sent
             residual += reference_grid_bit_errors(decoded, sent)
         elif strategy == "majority_vote":
-            winner = grid.majority_vote(received[0])
+            winner = reference_majority_vote(grid.cells[0][0], received[0])
             ok = winner == sent.cells[0][0]
             residual += distance(winner, sent.cells[0][0])
         else:
-            result = grid.simultaneous_reconcile(
+            word = reference_reconcile(
+                grid,
                 grid.from_row_stream(received[0].to_row_stream()),
                 grid.from_col_stream(received[1].to_col_stream()))
-            ok = result.word == sent
-            residual += reference_grid_bit_errors(result.word, sent)
+            ok = word == sent
+            residual += reference_grid_bit_errors(word, sent)
         if ok:
             successes += 1
     return TrialReport(trials, successes, undetected, residual)
@@ -109,6 +122,54 @@ def reference_run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
 def reference_grid_bit_errors(a: GridCodeword, b: GridCodeword) -> int:
     return sum(distance(a.cells[i][j], b.cells[i][j])
                for i in range(a.m) for j in range(a.n))
+
+
+def reference_majority_vote(code: LinearCode, received: GridCodeword) -> BitVector:
+    values = [c for row in received.cells for c in row if c is not None]
+    winner, top = reference_vote(code, values)
+    if top == 1 and len(values) > 1:
+        decoded = [code.decode(v)[0] for v in values]
+        winner, _ = reference_vote(code, decoded)
+    return winner
+
+
+def reference_vote(code: LinearCode, values: list[BitVector]) -> tuple[BitVector, int]:
+    counts = Counter(values)
+    top = max(counts.values())
+    tied = [v for v, c in counts.items() if c == top]
+    tied.sort(key=lambda v: (code.syndrome(v).weight(), str(v)))
+    return tied[0], top
+
+
+def reference_reconcile(grid: GridCode, row_word: GridCodeword,
+                        col_word: GridCodeword) -> GridCodeword:
+    out = []
+    for i in range(grid.m):
+        row = []
+        for j in range(grid.n):
+            a = row_word.cells[i][j]
+            b = col_word.cells[i][j]
+            if a == b:
+                row.append(a)
+                continue
+            row.append(reference_arbitrate(grid.cells[i][j], a, b))
+        out.append(tuple(row))
+    return GridCodeword(tuple(out))
+
+
+def reference_arbitrate(code: LinearCode, a: Optional[BitVector],
+                        b: Optional[BitVector]) -> Optional[BitVector]:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    a_ok = code.syndrome(a).bits == 0
+    b_ok = code.syndrome(b).bits == 0
+    if a_ok or b_ok:
+        return a if a_ok else b
+    xa, ea = code.decode(a)
+    xb, eb = code.decode(b)
+    return xb if eb.weight() < ea.weight() else xa
 
 
 BV = BitVector.from_string

@@ -189,6 +189,31 @@ class TestMajorityVote:
         with pytest.raises(GridError):
             g.majority_vote(g.from_row_stream(ROW_STREAM_331))
 
+    def test_absent_cells_are_skipped(self):
+        g = GridCode.uniform(hamming(3), 2, 3)
+        word = GridCodeword.from_rows([[None, None, None],
+                                       [BV("0100101"), BV("0100101"), BV("1111111")]])
+        assert g.majority_vote(word) == BV("0100101")
+
+    def test_all_absent_rejected(self):
+        g = GridCode.uniform(hamming(3), 2, 2)
+        with pytest.raises(GridError, match="^every cell is absent; nothing to vote on$"):
+            g.majority_vote(GridCodeword.from_rows([[None, None]] * 2))
+
+    def test_tie_goes_to_smaller_syndrome_weight(self):
+        # 1111111 is a codeword (syndrome weight 0), 0000001 has syndrome
+        # weight 3; the bit-string order alone would pick 0000001.
+        g = GridCode.uniform(hamming(3), 2, 2)
+        word = GridCodeword.from_rows([[BV("0000001"), BV("1111111")]] * 2)
+        assert g.majority_vote(word) == BV("1111111")
+
+    def test_tie_on_syndrome_weight_goes_to_smaller_bit_string(self):
+        # Two codewords; 0001111 sorts first as a string although its
+        # bits (bit 0 first) make the larger integer.
+        g = GridCode.uniform(hamming(3), 2, 2)
+        word = GridCodeword.from_rows([[BV("0010110"), BV("0001111")]] * 2)
+        assert g.majority_vote(word) == BV("0001111")
+
 
 class TestBestRowSelect:
     def test_clean_grid_ties_to_first_row(self):
@@ -236,6 +261,42 @@ class TestReconcile:
         result = g.simultaneous_reconcile(GridCodeword.from_rows([[a]]),
                                           GridCodeword.from_rows([[b]]))
         assert result.word == sent
+
+    def test_column_copy_valid_wins(self):
+        g = GridCode.uniform(hamming(3), 1, 2)
+        sent = g.encode([[BV("1010"), BV("0110")]])
+        corrupted = [list(r) for r in sent.cells]
+        corrupted[0][0] = corrupted[0][0].with_flipped([4])
+        result = g.simultaneous_reconcile(GridCodeword.from_rows(corrupted), sent)
+        assert result.word == sent
+        assert result.disagreements == ((0, 0),)
+
+    def test_equal_leader_weights_go_to_the_row_copy(self):
+        g = GridCode.uniform(hamming(3), 1, 1)
+        a = BV("0100101").with_flipped([0])
+        b = BV("1111111").with_flipped([3])
+        result = g.simultaneous_reconcile(GridCodeword.from_rows([[a]]),
+                                          GridCodeword.from_rows([[b]]))
+        assert result.word == GridCodeword.from_rows([[BV("0100101")]])
+
+    def test_lighter_leader_wins(self):
+        # repetition(5): 11000 decodes to 00000 through a weight-2 leader,
+        # 11110 to 11111 through a weight-1 leader.
+        g = GridCode.uniform(repetition(5), 1, 1)
+        result = g.simultaneous_reconcile(GridCodeword.from_rows([[BV("11000")]]),
+                                          GridCodeword.from_rows([[BV("11110")]]))
+        assert result.word == GridCodeword.from_rows([[BV("11111")]])
+
+    def test_absent_cell_takes_the_other_copy(self):
+        g = GridCode.uniform(hamming(3), 1, 2)
+        x, y = BV("0100101"), BV("1111111")
+        row_word = GridCodeword.from_rows([[None, y]])
+        col_word = GridCodeword.from_rows([[x, None]])
+        result = g.simultaneous_reconcile(row_word, col_word)
+        assert result.word == GridCodeword.from_rows([[x, y]])
+        assert result.disagreements == ((0, 0), (0, 1))
+        both_absent = GridCodeword.from_rows([[None, y]])
+        assert g.simultaneous_reconcile(both_absent, both_absent).word == both_absent
 
     def test_wrong_order_rejected(self):
         g = grid_331()
