@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .gf2 import BitVector, Gf2Error, distance, mat_vec_bits
-from .grid import GridCode, GridCodeword
+from .gf2 import BitVector, Gf2Error, mat_vec_bits
+from .grid import GridCode, GridCodeword, arbitrate, vote
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -142,6 +142,7 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
             raise ChannelError("majority_vote expects the same codeword in every cell")
 
     lengths = grid.column_lengths()
+    sent_bits = [[c.bits for c in row] for row in sent.cells]
     checks = [[code.h.row_words for code in row] for row in grid.cells]
     threshold = _threshold(cfg.flip_probability)
     copies = 2 if strategy == "simultaneous" else 1
@@ -182,29 +183,23 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
             hidden = any(e and not mat_vec_bits(checks[i][j], e)
                          for word in errors
                          for i, row in enumerate(word) for j, e in enumerate(row))
-            received = [_received(sent, word) for word in errors]
             if strategy == "majority_vote":
-                winner = grid.majority_vote(received[0])
-                ok = winner == sent.cells[0][0]
-                residual += distance(winner, sent.cells[0][0])
+                x = sent_bits[0][0]
+                winner = vote(grid.cells[0][0], [x ^ e for row in errors[0] for e in row])
+                ok = winner == x
+                residual += (winner ^ x).bit_count()
             else:
-                result = grid.simultaneous_reconcile(received[0], received[1])
-                ok = result.word == sent
-                residual += _grid_bit_errors(result.word, sent)
+                # A cell both copies agree on passes through; others are arbitrated.
+                ok = True
+                for i, (row_a, row_b) in enumerate(zip(*errors)):
+                    for j, (ea, eb) in enumerate(zip(row_a, row_b)):
+                        x = sent_bits[i][j]
+                        e = ea if ea == eb else arbitrate(grid.cells[i][j], x ^ ea, x ^ eb) ^ x
+                        residual += e.bit_count()
+                        ok = ok and not e
         if hidden:
             undetected += 1
         if ok:
             successes += 1
     return TrialReport(trials, successes, undetected, residual)
 
-
-def _received(sent: GridCodeword, errors: list[list[int]]) -> GridCodeword:
-    """The sent word with each cell's flip mask applied; untouched cells are reused."""
-    return GridCodeword(tuple(
-        tuple(BitVector(c.length, c.bits ^ e) if e else c for c, e in zip(cells, masks))
-        for cells, masks in zip(sent.cells, errors)))
-
-
-def _grid_bit_errors(a: GridCodeword, b: GridCodeword) -> int:
-    return sum(distance(a.cells[i][j], b.cells[i][j])
-               for i in range(a.m) for j in range(a.n))

@@ -8,6 +8,11 @@ share one check-symbol count.  A grid codeword may mark cells as absent
 Streams are only a file format: `format_super_word` and `parse_segments` are
 the one writer and reader of '|'-joined lines (absent cell: MISSING_CELL), and
 the strategies, `simultaneous_reconcile(row_word, col_word)` too, take words.
+
+The strategy rules themselves, `vote` and `arbitrate`, run on cell bits
+(plain ints).  `GridCode.majority_vote` and `simultaneous_reconcile` are
+their BitVector edge: they check shapes, handle absent cells and wrap the
+result; the channel's trial loop calls the rules directly.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from importlib import resources
 from typing import Iterable, Optional, Sequence
 
 from .approx import pseudo_inner
-from .gf2 import BitVector
+from .gf2 import BitVector, mat_vec_bits
 from .linear import CodeError, LinearCode, Syndrome
 
 MISSING_CELL = "·"
@@ -178,32 +183,21 @@ class GridCode:
     # -- redundancy strategies -------------------------------------------------
 
     def majority_vote(self, received: GridCodeword) -> BitVector:
-        """Most frequent cell value in a uniform grid.
+        """Most frequent cell value in a uniform grid, absent cells skipped.
 
-        Ties break toward the smallest total syndrome weight, then the
-        lexicographically smallest bit string.  If no value repeats, every
-        cell is coset-decoded and the vote reruns on the decoded values.
+        The rule is `vote`: ties break toward the value with the smallest
+        syndrome weight of its own, then the lexicographically smallest bit
+        string, and if no value repeats, every cell is coset-decoded and the
+        vote reruns on the decoded values.
         """
         if not self.is_uniform():
             raise GridError("majority vote requires a uniform grid")
         self._check_shape(received)
         code = self.cells[0][0]
-        values = [c for row in received.cells for c in row if c is not None]
+        values = [c.bits for row in received.cells for c in row if c is not None]
         if not values:
             raise GridError("every cell is absent; nothing to vote on")
-        winner, top = self._vote(code, values)
-        if top == 1 and len(values) > 1:
-            decoded = [code.decode(v)[0] for v in values]
-            winner, _ = self._vote(code, decoded)
-        return winner
-
-    @staticmethod
-    def _vote(code: LinearCode, values: list[BitVector]) -> tuple[BitVector, int]:
-        counts = Counter(values)
-        top = max(counts.values())
-        tied = [v for v, c in counts.items() if c == top]
-        tied.sort(key=lambda v: (code.syndrome(v).weight(), str(v)))
-        return tied[0], top
+        return BitVector(code.n, vote(code, values))
 
     def best_row_select(self, received: GridCodeword, by: str = "syndrome_count") -> int:
         """Index (0-based) of the row with the most zero cell syndromes.
@@ -232,9 +226,10 @@ class GridCode:
                                col_word: GridCodeword) -> "ReconcileResult":
         """Merge a row-transmitted and a column-transmitted copy cell by cell.
 
-        Agreeing cells pass through; disagreements take the copy with a zero
-        syndrome, else both copies are coset-decoded and the smaller error
-        weight wins (tie: the row copy).  GridError on a misshapen copy.
+        Agreeing cells pass through; where one copy is absent the other is
+        kept; other disagreements are settled by `arbitrate` (a copy with a
+        zero syndrome, else the lighter coset leader; tie: the row copy).
+        GridError on a misshapen copy.
         """
         self._check_shape(row_word)
         self._check_shape(col_word)
@@ -249,24 +244,12 @@ class GridCode:
                     row.append(a)
                     continue
                 disagreements.append((i, j))
-                row.append(self._arbitrate(self.cells[i][j], a, b))
+                if a is None or b is None:
+                    row.append(b if a is None else a)
+                else:
+                    row.append(BitVector(a.length, arbitrate(self.cells[i][j], a.bits, b.bits)))
             out.append(tuple(row))
         return ReconcileResult(GridCodeword(tuple(out)), tuple(disagreements))
-
-    @staticmethod
-    def _arbitrate(code: LinearCode, a: Optional[BitVector],
-                   b: Optional[BitVector]) -> Optional[BitVector]:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        a_ok = code.syndrome(a).bits == 0
-        b_ok = code.syndrome(b).bits == 0
-        if a_ok or b_ok:
-            return a if a_ok else b
-        xa, ea = code.decode(a)
-        xb, eb = code.decode(b)
-        return xb if eb.weight() < ea.weight() else xa
 
     # -- derived grids -----------------------------------------------------------
 
@@ -282,6 +265,45 @@ class GridCode:
 class ReconcileResult:
     word: GridCodeword
     disagreements: tuple[tuple[int, int], ...]
+
+
+def vote(code: LinearCode, values: list[int]) -> int:
+    """The plurality of one or more cell values of `code` (as bits).
+
+    Tied values go to the smallest syndrome weight of the value itself, then
+    to the smallest bit string (bit 0 first).  If two or more values are all
+    distinct, each is coset-decoded and the vote runs on the decoded values.
+    """
+    rows = code.h.row_words
+    counts = Counter(values)
+    top = max(counts.values())
+    if top == 1 and len(values) > 1:
+        table = code.coset_table
+        counts = Counter(v ^ table[mat_vec_bits(rows, v)].bits for v in values)
+        top = max(counts.values())
+    tied = [v for v, c in counts.items() if c == top]
+    return min(tied, key=lambda v: (mat_vec_bits(rows, v).bit_count(),
+                                    format(v, f"0{code.n}b")[::-1]))
+
+
+def arbitrate(code: LinearCode, a: int, b: int) -> int:
+    """The cell kept from a disagreeing row copy `a` and column copy `b` (as bits).
+
+    A copy with a zero syndrome wins, the row copy first; otherwise both are
+    coset-decoded and the lighter leader wins, a tie going to the row copy.
+    """
+    rows = code.h.row_words
+    # A valid copy would also win on its weight-0 leader; checking it first
+    # spares building the coset table.
+    sa = mat_vec_bits(rows, a)
+    if not sa:
+        return a
+    sb = mat_vec_bits(rows, b)
+    if not sb:
+        return b
+    ea = code.coset_table[sa].bits
+    eb = code.coset_table[sb].bits
+    return b ^ eb if eb.bit_count() < ea.bit_count() else a ^ ea
 
 
 def format_super_word(segments: Iterable[Optional[BitVector]]) -> str:
