@@ -74,13 +74,9 @@ class LinearCode:
         """Build the row-space code of g; derives a parity-check matrix."""
         if g.rows == 0 or g.cols == 0:
             raise CodeError("generator matrix must be non-empty")
-        if rank(g) != g.rows:
-            raise CodeError("generator matrix has dependent rows")
-        h = _standard_parity_from_generator(g)
-        if h is None:
-            dual_rows = null_space_basis(g)
-            # The full space has an empty dual; a single zero row keeps H non-empty.
-            h = BitMatrix.from_rows(dual_rows) if dual_rows else BitMatrix(1, g.cols, (0,))
+        dual_rows = null_space_basis(g)
+        # The full space has an empty dual; a single zero row keeps H non-empty.
+        h = BitMatrix.from_rows(dual_rows) if dual_rows else BitMatrix(1, g.cols, (0,))
         return cls(h, g)
 
     # -- basic parameters ------------------------------------------------
@@ -237,16 +233,3 @@ class LinearCode:
         """True iff every codeword's cyclic shift is a codeword; by linearity, a basis suffices."""
         return all(self.is_member(v.shift_right()) for v in self._basis())
 
-
-def _standard_parity_from_generator(g: BitMatrix) -> Optional[BitMatrix]:
-    """For g = (I_k, A'), return (A, I_{n-k}) with A = transpose(A')."""
-    k, n = g.rows, g.cols
-    if k == n:
-        return None
-    ident = BitMatrix.identity(k)
-    if tuple(w & ((1 << k) - 1) for w in g.row_words) != ident.row_words:
-        return None
-    a_prime = BitMatrix(k, n - k, tuple(w >> k for w in g.row_words))
-    a = transpose(a_prime)
-    words = tuple(a.row_words[i] | (1 << (k + i)) for i in range(n - k))
-    return BitMatrix(n - k, n, words)
