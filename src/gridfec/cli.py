@@ -359,6 +359,8 @@ def _grid_mask(args) -> int:
     if args.stencil:
         mask = load_stencil(args.stencil)
     elif args.first is not None and args.diff is not None and args.last is not None:
+        if args.last > grid.m * grid.n:
+            raise SpecError(f"--last {args.last} exceeds the {grid.m}x{grid.n} grid")
         mask = mask_from_ap(args.first, args.diff, args.last)
     else:
         raise SpecError("give either --stencil or all of --first/--diff/--last")

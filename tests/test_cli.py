@@ -262,6 +262,16 @@ class TestGridCommands:
         assert rc == 0
         assert len(out.splitlines()) == 13
 
+    def test_mask_last_beyond_grid_exits_two(self, capsys, tmp_path):
+        # Refused before the progression is built: 10**18 indices would not fit in memory.
+        stream = tmp_path / "word.txt"
+        stream.write_text("00000\n")
+        rc = main(["grid", "mask", "--spec", fx("ex_1_2_6.json"), "--stream-file", str(stream),
+                   "--first", "1", "--diff", "1", "--last", str(10**18)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--last {10**18} exceeds the 1x1 grid" in err and "Traceback" not in err
+
     def test_mask_stencil_outside_package_exits_two(self, capsys, tmp_path):
         # A name that walks out of the stencil directory to a readable .txt
         # file whose line is not a cell index.
