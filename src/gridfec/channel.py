@@ -202,4 +202,3 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
         if ok:
             successes += 1
     return TrialReport(trials, successes, undetected, residual)
-

@@ -6,13 +6,11 @@ Grid constraints: all cells of a column share one length, all cells of a row
 share one check-symbol count.  A grid codeword may mark cells as absent
 (sender-side empty marker); absent cells are skipped by syndromes and voting.
 Streams are only a file format: `format_super_word` and `parse_segments` are
-the one writer and reader of '|'-joined lines (absent cell: MISSING_CELL), and
-the strategies, `simultaneous_reconcile(row_word, col_word)` too, take words.
-
-The strategy rules themselves, `vote` and `arbitrate`, run on cell bits
-(plain ints).  `GridCode.majority_vote` and `simultaneous_reconcile` are
-their BitVector edge: they check shapes, handle absent cells and wrap the
-result; the channel's trial loop calls the rules directly.
+the one writer and reader of '|'-joined lines (absent cell: MISSING_CELL).
+The strategy rules `vote` and `arbitrate` run on cell bits (plain ints);
+`GridCode.majority_vote` and `simultaneous_reconcile(row_word, col_word)` are
+their edge on grid words (shape checks, absent cells), and the channel's trial
+loop calls the rules directly.
 """
 
 from __future__ import annotations
@@ -183,13 +181,10 @@ class GridCode:
     # -- redundancy strategies -------------------------------------------------
 
     def majority_vote(self, received: GridCodeword) -> BitVector:
-        """Most frequent cell value in a uniform grid, absent cells skipped.
-
-        The rule is `vote`: ties break toward the value with the smallest
-        syndrome weight of its own, then the lexicographically smallest bit
-        string, and if no value repeats, every cell is coset-decoded and the
-        vote reruns on the decoded values.
-        """
+        """The `vote` of the present cells of a uniform grid: the most frequent
+        value; ties go to the smallest syndrome weight of the value itself, then
+        the lexicographically smallest bit string; if no value repeats, the vote
+        reruns on the coset-decoded cells."""
         if not self.is_uniform():
             raise GridError("majority vote requires a uniform grid")
         self._check_shape(received)
@@ -244,10 +239,9 @@ class GridCode:
                     row.append(a)
                     continue
                 disagreements.append((i, j))
-                if a is None or b is None:
-                    row.append(b if a is None else a)
-                else:
-                    row.append(BitVector(a.length, arbitrate(self.cells[i][j], a.bits, b.bits)))
+                if a is not None and b is not None:
+                    a = BitVector(a.length, arbitrate(self.cells[i][j], a.bits, b.bits))
+                row.append(b if a is None else a)
             out.append(tuple(row))
         return ReconcileResult(GridCodeword(tuple(out)), tuple(disagreements))
 
@@ -289,12 +283,11 @@ def vote(code: LinearCode, values: list[int]) -> int:
 def arbitrate(code: LinearCode, a: int, b: int) -> int:
     """The cell kept from a disagreeing row copy `a` and column copy `b` (as bits).
 
-    A copy with a zero syndrome wins, the row copy first; otherwise both are
-    coset-decoded and the lighter leader wins, a tie going to the row copy.
+    A copy with a zero syndrome wins, the row copy first, with no coset table
+    built; otherwise both are coset-decoded and the lighter leader wins, a tie
+    going to the row copy.
     """
     rows = code.h.row_words
-    # A valid copy would also win on its weight-0 leader; checking it first
-    # spares building the coset table.
     sa = mat_vec_bits(rows, a)
     if not sa:
         return a

@@ -232,4 +232,3 @@ class LinearCode:
     def is_cyclic(self) -> bool:
         """True iff every codeword's cyclic shift is a codeword; by linearity, a basis suffices."""
         return all(self.is_member(v.shift_right()) for v in self._basis())
-
