@@ -75,6 +75,10 @@ class TestPseudoBestApprox:
         with pytest.raises(Gf2Error):
             Basis((BV("1010"), BV("0101"), BV("1111")))
 
+    def test_mixed_lengths_rejected(self):
+        with pytest.raises(Gf2Error):
+            Basis((BV("1010"), BV("011")))
+
     def test_length_mismatch(self):
         with pytest.raises(Gf2Error):
             pseudo_best_approx(BV("101"), self.EIGHT_BASIS)

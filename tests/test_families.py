@@ -118,6 +118,8 @@ class TestCyclicFromPoly:
         code = cyclic_from_poly(CyclicSpec(3, Gf2Poly.one()))
         assert code.k == 3
         assert len(code.codewords) == 8
+        assert code.h == BitMatrix(1, 3, (0,))
+        assert code.generator() == BitMatrix.identity(3)
 
     def test_x_plus_one_gives_even_weight_code(self):
         code = cyclic_from_poly(CyclicSpec(7, Gf2Poly.from_string("11")))

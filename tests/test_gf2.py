@@ -285,6 +285,21 @@ class TestPolyDivide:
             Gf2Poly(0).degree()
 
 
+class TestPolyText:
+    def test_zero_prints_as_zero(self):
+        assert str(Gf2Poly(0)) == "0"
+
+    def test_string_roundtrip(self):
+        for text in ("1", "11", "1011", "0001", "10111"):
+            assert str(Gf2Poly.from_string(text)) == text
+        p = Gf2Poly(0b1101001)
+        assert Gf2Poly.from_string(str(p)) == p
+
+    def test_illegal_character(self):
+        with pytest.raises(Gf2Error):
+            Gf2Poly.from_string("10x1")
+
+
 class TestNullSpace:
     def test_basis_annihilated(self):
         for mat in (H_121, H_126, BM(["111"])):

@@ -75,6 +75,11 @@ class TestGridConstruction:
         g = GridCode.uniform(hamming(3), 1, 1)
         assert g.cells[0][0] is hamming(3) or g.cells[0][0].h == hamming(3).h
 
+    @pytest.mark.parametrize("m, n", [(0, 3), (3, 0)])
+    def test_uniform_empty_rejected(self, m, n):
+        with pytest.raises(GridError):
+            GridCode.uniform(hamming(3), m, n)
+
 
 class TestEncodeSyndromeDecode:
     def test_member_grid_zero_syndromes(self):

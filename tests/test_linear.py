@@ -233,6 +233,12 @@ class TestDual:
         assert d.k == 0
         assert d.codewords == frozenset({BitVector.zeros(3)})
 
+    def test_dual_of_zero_code_is_full_space(self):
+        d = LinearCode.from_parity(BitMatrix.identity(3)).dual()
+        assert d.k == 3
+        assert d.h == BitMatrix(1, 3, (0,))
+        assert d.generator() == BitMatrix.identity(3)
+
     def test_double_dual_identity(self):
         rng = random.Random(4)
         for _ in range(10):
