@@ -34,9 +34,6 @@ class Basis:
     def __post_init__(self) -> None:
         if not self.vectors:
             raise Gf2Error("basis must be non-empty")
-        n = self.vectors[0].length
-        if any(v.length != n for v in self.vectors):
-            raise Gf2Error("basis vectors have differing lengths")
         if rank(BitMatrix.from_rows(list(self.vectors))) != len(self.vectors):
             raise Gf2Error("basis vectors are linearly dependent")
 

@@ -39,17 +39,6 @@ class BitVector:
         return cls(len(text), bits)
 
     @classmethod
-    def from_bits(cls, values: Iterable[int]) -> "BitVector":
-        bits = 0
-        n = 0
-        for v in values:
-            if v not in (0, 1):
-                raise Gf2Error(f"bit values must be 0 or 1, got {v!r}")
-            bits |= v << n
-            n += 1
-        return cls(n, bits)
-
-    @classmethod
     def zeros(cls, n: int) -> "BitVector":
         return cls(n, 0)
 
@@ -134,13 +123,7 @@ class BitMatrix:
 
     @classmethod
     def from_strings(cls, rows: Sequence[str]) -> "BitMatrix":
-        vecs = [BitVector.from_string(r) for r in rows]
-        if not vecs:
-            return cls(0, 0, ())
-        cols = vecs[0].length
-        if any(v.length != cols for v in vecs):
-            raise Gf2Error("rows have differing lengths")
-        return cls(len(vecs), cols, tuple(v.bits for v in vecs))
+        return cls.from_rows([BitVector.from_string(r) for r in rows])
 
     @classmethod
     def from_rows(cls, rows: Sequence[BitVector]) -> "BitMatrix":
@@ -157,14 +140,6 @@ class BitMatrix:
 
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self.row_words[i])
-
-    def column(self, j: int) -> BitVector:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} out of range")
-        bits = 0
-        for i, w in enumerate(self.row_words):
-            bits |= ((w >> j) & 1) << i
-        return BitVector(self.rows, bits)
 
     def entry(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -290,13 +265,7 @@ class Gf2Poly:
 
     @classmethod
     def from_string(cls, text: str) -> "Gf2Poly":
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise Gf2Error(f"illegal character {ch!r} in polynomial string")
-        return cls(bits)
+        return cls(BitVector.from_string(text).bits)
 
     @classmethod
     def one(cls) -> "Gf2Poly":
@@ -333,9 +302,7 @@ class Gf2Poly:
         return Gf2Poly(acc)
 
     def __str__(self) -> str:
-        if self.coeffs == 0:
-            return "0"
-        return "".join("1" if (self.coeffs >> i) & 1 else "0" for i in range(self.coeffs.bit_length()))
+        return str(BitVector(self.coeffs.bit_length(), self.coeffs)) or "0"
 
     def __repr__(self) -> str:
         return f"Gf2Poly({str(self)!r})"

@@ -59,9 +59,6 @@ class GridCodeword:
     def n(self) -> int:
         return len(self.cells[0])
 
-    def cell(self, i: int, j: int) -> Optional[BitVector]:
-        return self.cells[i][j]
-
     def to_row_stream(self) -> list[str]:
         """Row i as its cells left to right, '|'-joined."""
         return [format_super_word(row) for row in self.cells]
@@ -93,8 +90,6 @@ class GridCode:
 
     @classmethod
     def uniform(cls, code: LinearCode, m: int, n: int) -> "GridCode":
-        if m < 1 or n < 1:
-            raise GridError("grid dimensions must be at least 1x1")
         return cls([[code] * n for _ in range(m)])
 
     def is_uniform(self) -> bool:

@@ -155,8 +155,6 @@ class LinearCode:
                 raise CodeError(
                     f"column {j} admits no pivot: H is not row-reducible to (A, I) "
                     "without column swaps")
-        if any(w != 0 for w in words[m:]):
-            raise CodeError("parity-check rows are inconsistent with rank")
         h_std = BitMatrix(m, self.n, tuple(words[:m]))
         a = BitMatrix(m, self.k, tuple(w & ((1 << self.k) - 1) for w in words[:m]))
         at = transpose(a)
@@ -224,8 +222,7 @@ class LinearCode:
         code_basis = self._basis()
         if not code_basis:
             # Dual of the zero code is the full space.
-            return LinearCode(BitMatrix.from_rows([BitVector.zeros(self.n)]),
-                              BitMatrix.identity(self.n))
+            return LinearCode.from_generator(BitMatrix.identity(self.n))
         g_dual = BitMatrix.from_rows(h_rows) if h_rows else None
         return LinearCode(BitMatrix.from_rows(code_basis), g_dual)
 
