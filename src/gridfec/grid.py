@@ -440,6 +440,7 @@ def mask_from_ap(first: int, diff: int, last: int) -> CellMask:
         raise GridError("common difference must be at least 1")
     if last < first:
         raise GridError("last term must not precede the first")
+    CellMask((first,))  # the terms ascend: refuse first < 1 before building them
     return CellMask(tuple(range(first, last + 1, diff)))
 
 

@@ -272,6 +272,15 @@ class TestGridCommands:
         err = capsys.readouterr().err
         assert f"--last {10**18} exceeds the 1x1 grid" in err and "Traceback" not in err
 
+    def test_mask_first_below_one_exits_two(self, capsys, tmp_path):
+        stream = tmp_path / "word.txt"
+        stream.write_text("00000\n")
+        rc = main(["grid", "mask", "--spec", fx("ex_1_2_6.json"), "--stream-file", str(stream),
+                   "--first", str(-10**18), "--diff", "1", "--last", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "1-based" in err and "Traceback" not in err
+
     def test_mask_stencil_outside_package_exits_two(self, capsys, tmp_path):
         # A name that walks out of the stencil directory to a readable .txt
         # file whose line is not a cell index.

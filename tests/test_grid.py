@@ -396,6 +396,12 @@ class TestMask:
         with pytest.raises(GridError):
             apply_mask(word, mask_from_ap(50, 1, 50))
 
+    @pytest.mark.parametrize("first", [0, -10**18])
+    def test_first_below_one_rejected(self, first):
+        # Refused before the progression is built: 10**18 terms would not fit in memory.
+        with pytest.raises(GridError, match="1-based"):
+            mask_from_ap(first, 1, 5)
+
     def test_duplicates_rejected(self):
         with pytest.raises(GridError):
             CellMask((3, 3))
