@@ -164,6 +164,24 @@ class TestRunTrial:
         with pytest.raises(ChannelError):
             run_trial(grid, sent, "majority_vote", ChannelConfig(0.05, 1), 3)
 
+    def test_zero_trials_rejected(self):
+        grid, sent = self._single_hamming()
+        with pytest.raises(ChannelError, match="need at least one trial"):
+            run_trial(grid, sent, "per_cell_decode", ChannelConfig(0.1, 1), 0)
+
+    def test_absent_cell_rejected(self):
+        grid, sent = hamming_3x3()
+        cells = [list(r) for r in sent.cells]
+        cells[1][2] = None
+        with pytest.raises(ChannelError, match="simulation requires every cell present"):
+            run_trial(grid, GridCodeword.from_rows(cells), "per_cell_decode",
+                      ChannelConfig(0.1, 1), 5)
+
+    def test_majority_vote_requires_uniform_grid(self):
+        grid, sent = mixed_331()
+        with pytest.raises(ChannelError, match="majority_vote requires a uniform grid"):
+            run_trial(grid, sent, "majority_vote", ChannelConfig(0.05, 1), 3)
+
     def test_simultaneous_strategy_runs(self):
         grid, sent = self._single_hamming()
         report = run_trial(grid, sent, "simultaneous", ChannelConfig(0.05, 5), 200)

@@ -4,9 +4,13 @@ import os
 from importlib import resources
 from pathlib import Path
 
+from gridfec.channel import ChannelConfig, run_trial
 from gridfec.cli import main
+from gridfec.gf2 import BitVector
+from gridfec.specio import parse_spec
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BV = BitVector.from_string
 
 
 def fx(name: str) -> str:
@@ -321,6 +325,28 @@ class TestSimCommand:
         success = int(next(l for l in out.splitlines()
                            if l.startswith("decode_success")).split(": ")[1])
         assert success >= 95
+
+    def test_stream_file_matches_run_trial(self, capsys, tmp_path):
+        grid = parse_spec(Path(fx("ex_3_3_1.json")).read_text())
+        sent = grid.encode([[BV("101"), BV("0110")], [BV("11"), BV("101")],
+                            [BV("011"), BV("1001")]])
+        stream = tmp_path / "sent.txt"
+        stream.write_text("\n".join(sent.to_row_stream()) + "\n")
+        rc, out = run(capsys, "sim", "run", "--spec", fx("ex_3_3_1.json"),
+                      "--stream-file", str(stream), "--p", "0.04", "--trials", "60",
+                      "--seed", "9", "--strategy", "simultaneous")
+        assert rc == 0
+        r = run_trial(grid, sent, "simultaneous", ChannelConfig(0.04, 9), 60)
+        assert out.splitlines() == [
+            f"trials: {r.trials}", f"decode_success: {r.decode_success}",
+            f"undetected_error: {r.undetected_error}",
+            f"residual_bit_errors: {r.residual_bit_errors}"]
+
+    def test_no_sent_word_exits_two(self, capsys):
+        rc = main(["sim", "run", "--spec", fx("hamming3.json"), "--p", "0.1",
+                   "--trials", "5", "--seed", "1", "--strategy", "per_cell_decode"])
+        assert rc == 2
+        assert "give the sent word via --fill or --stream-file" in capsys.readouterr().err
 
     def test_non_codeword_fill_rejected(self, capsys):
         rc = main(["sim", "run", "--spec", fx("hamming3.json"), "--fill", "1111110",
