@@ -4,6 +4,8 @@ import os
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 from gridfec.channel import ChannelConfig, run_trial
 from gridfec.cli import main
 from gridfec.gf2 import BitVector
@@ -85,6 +87,41 @@ class TestCodeCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: spec: hamming m=40 exceeds the limit")
+        assert "Traceback" not in err
+
+
+# Refusals: argv (a name in the file table is written under tmp_path) and files.
+REFUSALS = {
+    "code_info_on_composition": (["code", "info", "--spec", fx("ex_3_1_8.json")], {}),
+    "super_new_on_single_code": (["super", "new", "--spec", fx("hamming3.json")], {}),
+    "grid_decode_on_row_composition": (
+        ["grid", "decode", "--spec", fx("ex_3_1_8.json"), "--stream-file", "recv.txt"],
+        {"recv.txt": "1011|11011\n"}),
+    "super_dual_on_column_composition": (["super", "dual", "--spec", fx("ex_3_2_10.json")], {}),
+    "grid_mask_with_only_first": (
+        ["grid", "mask", "--spec", fx("hamming3.json"), "--stream-file", "recv.txt",
+         "--first", "1"],
+        {"recv.txt": "0000000\n"}),
+    "super_encode_absent_message": (
+        ["super", "encode", "--spec", fx("ex_3_1_8.json"), "--messages", "10|·"], {}),
+    "grid_encode_absent_message": (
+        ["grid", "encode", "--spec", fx("hamming3_grid.json"), "--messages-file", "msgs.txt"],
+        {"msgs.txt": "1010|·|1111\n0001|1110|1011\n0100|0010|1000\n"}),
+    "grid_encode_short_message_file": (
+        ["grid", "encode", "--spec", fx("hamming3_grid.json"), "--messages-file", "msgs.txt"],
+        {"msgs.txt": "1010|0110|1111\n0001|1110|1011\n"}),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv, files", REFUSALS.values(), ids=list(REFUSALS))
+    def test_one_error_line_and_exit_two(self, capsys, tmp_path, argv, files):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        rc = main([str(tmp_path / a) if a in files else a for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
 

@@ -98,6 +98,26 @@ class TestParseSpec:
         with pytest.raises(SpecError):
             parse_spec('{"kind": "parity", "rows": ["10", "1"]}')
 
+    @pytest.mark.parametrize("doc", [
+        [],
+        {"m": 3},
+        {"kind": "cyclic", "n": 7},
+        {"kind": "hamming", "m": 1},
+        {"shape": "triangle", "cells": []},
+        {"shape": "row", "codes": ["ham"], "cells": ["ham"]},
+        {"shape": "row"},
+        {"shape": "grid", "cells": [[{"kind": "hamming", "m": 3}], []]},
+        {"shape": "grid", "cells": [{"kind": "hamming", "m": 3}]},
+        {"shape": "row", "cells": []},
+        {"kind": "parity", "rows": [101]},
+        {"kind": "repetition", "n": True},
+    ], ids=["array_document", "missing_kind", "cyclic_without_g", "hamming_m1",
+            "unknown_shape", "non_object_codes", "missing_cells", "ragged_grid_cells",
+            "non_array_grid_rows", "empty_row_cells", "non_string_rows", "boolean_n"])
+    def test_malformed_document_rejected(self, doc):
+        with pytest.raises(SpecError):
+            parse_spec(json.dumps(doc))
+
 
 class TestSizeCap:
     HAMMING_M = (MAX_CODE_LENGTH + 1).bit_length() - 1  # largest m with 2^m - 1 <= cap
