@@ -56,97 +56,67 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gridfec",
         description="Binary linear block codes, their compositions, and a channel simulator.")
     sub = parser.add_subparsers(required=True)
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--spec", required=True, type=Path, help="JSON code/composition spec")
+    stream = argparse.ArgumentParser(add_help=False, parents=[spec])
+    stream.add_argument("--stream-file", required=True, type=Path,
+                        help="received stream, one super row string per line")
+    stream.add_argument("--by", choices=("row", "col"), default="row",
+                        help="whether the stream lists rows or columns")
+
+    def verb(group, name: str, func, help: str, parent=spec) -> argparse.ArgumentParser:
+        p = group.add_parser(name, help=help, parents=[parent])
+        p.set_defaults(func=func)
+        return p
 
     code = sub.add_parser("code", help="single linear code operations").add_subparsers(required=True)
-    p = code.add_parser("info", help="print code parameters")
-    _spec_arg(p)
-    p.set_defaults(func=_code_info)
-    p = code.add_parser("encode", help="encode a message")
-    _spec_arg(p)
+    verb(code, "info", _code_info, "print code parameters")
+    p = verb(code, "encode", _code_encode, "encode a message")
     p.add_argument("--message", required=True, help="message bits, length k")
-    p.set_defaults(func=_code_encode)
-    p = code.add_parser("decode", help="decode a received word")
-    _spec_arg(p)
+    p = verb(code, "decode", _code_decode, "decode a received word")
     p.add_argument("--word", required=True, help="received bits, length n")
     p.add_argument("--strategy", choices=("coset", "approx"), default="coset")
-    p.set_defaults(func=_code_decode)
 
     sup = sub.add_parser("super", help="row/column composition operations").add_subparsers(required=True)
-    p = sup.add_parser("new", help="validate a composition and print a summary")
-    _spec_arg(p)
-    p.set_defaults(func=_super_new)
-    p = sup.add_parser("encode", help="encode per-component messages")
-    _spec_arg(p)
+    verb(sup, "new", _super_new, "validate a composition and print a summary")
+    p = verb(sup, "encode", _super_encode, "encode per-component messages")
     p.add_argument("--messages", required=True, help="'|'-separated messages")
-    p.set_defaults(func=_super_encode)
-    p = sup.add_parser("decode", help="decode a received super word")
-    _spec_arg(p)
+    p = verb(sup, "decode", _super_decode, "decode a received super word")
     p.add_argument("--word", required=True, help="'|'-separated received word")
-    p.set_defaults(func=_super_decode)
-    p = sup.add_parser("rate", help="print the transmission rate")
-    _spec_arg(p)
-    p.set_defaults(func=_super_rate)
-    p = sup.add_parser("dual", help="print the componentwise dual")
-    _spec_arg(p)
-    p.set_defaults(func=_super_dual)
+    verb(sup, "rate", _super_rate, "print the transmission rate")
+    verb(sup, "dual", _super_dual, "print the componentwise dual")
 
     grid = sub.add_parser("grid", help="grid code operations").add_subparsers(required=True)
-    p = grid.add_parser("encode", help="encode a message grid to a row stream")
-    _spec_arg(p)
+    p = verb(grid, "encode", _grid_encode, "encode a message grid to a row stream")
     p.add_argument("--messages-file", required=True, type=Path,
                    help="one '|'-separated message row per line")
-    p.set_defaults(func=_grid_encode)
-    p = grid.add_parser("decode", help="decode a received stream per cell")
-    _grid_stream_args(p)
-    p.set_defaults(func=_grid_decode)
-    p = grid.add_parser("stream", help="re-serialize a stream between row and column order")
-    _grid_stream_args(p)
+    verb(grid, "decode", _grid_decode, "decode a received stream per cell", stream)
+    p = verb(grid, "stream", _grid_stream,
+             "re-serialize a stream between row and column order", stream)
     p.add_argument("--to", choices=("row", "col"), required=True)
-    p.set_defaults(func=_grid_stream)
-    p = grid.add_parser("vote", help="majority vote over a uniform grid")
-    _grid_stream_args(p)
-    p.set_defaults(func=_grid_vote)
-    p = grid.add_parser("reconcile", help="merge row- and column-transmitted copies")
-    _spec_arg(p)
+    verb(grid, "vote", _grid_vote, "majority vote over a uniform grid", stream)
+    p = verb(grid, "reconcile", _grid_reconcile, "merge row- and column-transmitted copies")
     p.add_argument("--row-file", required=True, type=Path)
     p.add_argument("--col-file", required=True, type=Path)
-    p.set_defaults(func=_grid_reconcile)
-    p = grid.add_parser("chart", help="select the cells a true chart marks")
-    _grid_stream_args(p)
+    p = verb(grid, "chart", _grid_chart, "select the cells a true chart marks", stream)
     p.add_argument("--chart-file", required=True, type=Path,
                    help="'*'/'.' grid matching the code grid")
-    p.set_defaults(func=_grid_chart)
-    p = grid.add_parser("mask", help="select cells by arithmetic progression or stencil")
-    _grid_stream_args(p)
+    p = verb(grid, "mask", _grid_mask,
+             "select cells by arithmetic progression or stencil", stream)
     p.add_argument("--first", type=int)
     p.add_argument("--diff", type=int)
     p.add_argument("--last", type=int)
     p.add_argument("--stencil", help="shipped stencil name: t, k or cross")
-    p.set_defaults(func=_grid_mask)
 
     sim = sub.add_parser("sim", help="channel simulation").add_subparsers(required=True)
-    p = sim.add_parser("run", help="run Monte-Carlo trials of a decoding strategy")
-    _spec_arg(p)
+    p = verb(sim, "run", _sim_run, "run Monte-Carlo trials of a decoding strategy")
     p.add_argument("--fill", help="codeword repeated in every cell")
     p.add_argument("--stream-file", type=Path, help="row stream of the sent grid word")
     p.add_argument("--p", type=float, required=True, help="bit flip probability")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strategy", required=True, choices=STRATEGIES)
-    p.set_defaults(func=_sim_run)
     return parser
-
-
-def _spec_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--spec", required=True, type=Path, help="JSON code/composition spec")
-
-
-def _grid_stream_args(p: argparse.ArgumentParser) -> None:
-    _spec_arg(p)
-    p.add_argument("--stream-file", required=True, type=Path,
-                   help="received stream, one super row string per line")
-    p.add_argument("--by", choices=("row", "col"), default="row",
-                   help="whether the stream lists rows or columns")
 
 
 def _load(args) -> AnyCode:
@@ -217,7 +187,6 @@ def _code_encode(args) -> int:
 def _code_decode(args) -> int:
     c = _expect_linear(_load(args))
     y = BitVector.from_string(args.word)
-    syndrome = c.syndrome(y)
     if args.strategy == "approx":
         word = approx_decode(c, y)
         print(f"codeword: {word}")
@@ -225,7 +194,7 @@ def _code_decode(args) -> int:
         word, err = c.decode(y)
         print(f"codeword: {word}")
         print(f"error: {err}")
-    return DETECTED_ERROR if syndrome.bits != 0 else 0
+    return DETECTED_ERROR if word != y else 0
 
 
 # -- super ----------------------------------------------------------------------
@@ -244,22 +213,17 @@ def _super_new(args) -> int:
 
 def _super_encode(args) -> int:
     sc = _expect_super(_load(args))
-    messages = parse_super_word(args.messages)
-    if any(m is None for m in messages):
-        raise SpecError("messages cannot contain absent cells")
-    word = sc.encode(messages)
-    print(word)
+    print(sc.encode(to_super_codeword(parse_super_word(args.messages)).segments))
     return 0
 
 
 def _super_decode(args) -> int:
     sc = _expect_super(_load(args))
     received = to_super_codeword(parse_super_word(args.word))
-    detected = not sc.is_member(received)
     word, err = sc.decode(received)
     print(f"codeword: {word}")
     print(f"error: {err}")
-    return DETECTED_ERROR if detected else 0
+    return DETECTED_ERROR if word != received else 0
 
 
 def _super_rate(args) -> int:
@@ -287,31 +251,21 @@ def _super_dual(args) -> int:
 
 def _grid_encode(args) -> int:
     grid = _expect_grid(_load(args))
-    lines = _read_lines(args.messages_file)
-    if len(lines) != grid.m:
-        raise SpecError(f"expected {grid.m} message rows, got {len(lines)}")
-    messages = []
-    for ln in lines:
-        row = parse_super_word(ln)
-        if any(m is None for m in row):
-            raise SpecError("message rows cannot contain absent cells")
-        messages.append(row)
-    word = grid.encode(messages)  # type: ignore[arg-type]
-    for line in word.to_row_stream():
+    messages = [to_super_codeword(parse_super_word(ln)).segments
+                for ln in _read_lines(args.messages_file)]
+    for line in grid.encode(messages).to_row_stream():
         print(line)
     return 0
 
 
 def _grid_decode(args) -> int:
     grid = _expect_grid(_load(args))
-    received = _read_stream(args, grid)
-    detected = not grid.is_member(received)
-    decoded, errors = grid.decode(received)
+    decoded, errors = grid.decode(_read_stream(args, grid))
     for line in decoded.to_row_stream():
         print(line)
     total = sum(e.weight() for row in errors.cells for e in row if e is not None)
     print(f"corrected bit errors: {total}")
-    return DETECTED_ERROR if detected else 0
+    return DETECTED_ERROR if total else 0
 
 
 def _grid_stream(args) -> int:
@@ -359,9 +313,7 @@ def _grid_mask(args) -> int:
     if args.stencil:
         mask = load_stencil(args.stencil)
     elif args.first is not None and args.diff is not None and args.last is not None:
-        if args.last > grid.m * grid.n:
-            raise SpecError(f"--last {args.last} exceeds the {grid.m}x{grid.n} grid")
-        mask = mask_from_ap(args.first, args.diff, args.last)
+        mask = mask_from_ap(args.first, args.diff, args.last, grid.m * grid.n)
     else:
         raise SpecError("give either --stencil or all of --first/--diff/--last")
     for cell in apply_mask(word, mask):

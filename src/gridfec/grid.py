@@ -434,12 +434,14 @@ class CellMask:
         return cls(tuple(indices))
 
 
-def mask_from_ap(first: int, diff: int, last: int) -> CellMask:
-    """The arithmetic progression first, first+diff, ..., last."""
+def mask_from_ap(first: int, diff: int, last: int, cells: int) -> CellMask:
+    """The arithmetic progression first, first+diff, ..., last over a grid of `cells` cells."""
     if diff < 1:
         raise GridError("common difference must be at least 1")
     if last < first:
         raise GridError("last term must not precede the first")
+    if last > cells:
+        raise GridError(f"last term {last} exceeds the grid's cell count {cells}")
     CellMask((first,))  # the terms ascend: refuse first < 1 before building them
     return CellMask(tuple(range(first, last + 1, diff)))
 

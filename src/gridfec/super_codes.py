@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .families import CyclicSpec, cyclic_from_poly, hamming, parity_check, repetition
 from .gf2 import BitMatrix, BitVector, SuperMatrix
+from .grid import format_super_word
 from .linear import CodeError, LinearCode, Syndrome
 
 
@@ -38,7 +39,7 @@ class SuperCodeword:
         return cls(tuple(BitVector.from_string(t) for t in texts))
 
     def __str__(self) -> str:
-        return "|".join(str(s) for s in self.segments)
+        return format_super_word(self.segments)
 
     def __len__(self) -> int:
         return len(self.segments)

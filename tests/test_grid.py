@@ -376,17 +376,17 @@ class TestMask:
         return GridCodeword.from_rows(cells)
 
     def test_vertical_bar_progression(self):
-        assert mask_from_ap(4, 7, 46).indices == (4, 11, 18, 25, 32, 39, 46)
+        assert mask_from_ap(4, 7, 46, 49).indices == (4, 11, 18, 25, 32, 39, 46)
 
     def test_cross_bar_progression(self):
-        assert mask_from_ap(15, 1, 21).indices == tuple(range(15, 22))
+        assert mask_from_ap(15, 1, 21, 49).indices == tuple(range(15, 22))
 
     def test_single_cell(self):
-        assert mask_from_ap(1, 1, 1).indices == (1,)
+        assert mask_from_ap(1, 1, 1, 49).indices == (1,)
 
     def test_apply_row_major_one_based(self):
         word = self._word_7x7()
-        cells = apply_mask(word, mask_from_ap(4, 7, 46))
+        cells = apply_mask(word, mask_from_ap(4, 7, 46, 49))
         expected = [word.cells[(idx - 1) // 7][(idx - 1) % 7]
                     for idx in (4, 11, 18, 25, 32, 39, 46)]
         assert cells == expected
@@ -394,13 +394,18 @@ class TestMask:
     def test_out_of_range_rejected(self):
         word = self._word_7x7()
         with pytest.raises(GridError):
-            apply_mask(word, mask_from_ap(50, 1, 50))
+            apply_mask(word, CellMask((50,)))
 
     @pytest.mark.parametrize("first", [0, -10**18])
     def test_first_below_one_rejected(self, first):
         # Refused before the progression is built: 10**18 terms would not fit in memory.
         with pytest.raises(GridError, match="1-based"):
-            mask_from_ap(first, 1, 5)
+            mask_from_ap(first, 1, 5, 49)
+
+    def test_last_beyond_grid_rejected(self):
+        # Refused before the progression is built: 10**18 terms would not fit in memory.
+        with pytest.raises(GridError, match="cell count 49"):
+            mask_from_ap(1, 1, 10**18, 49)
 
     def test_duplicates_rejected(self):
         with pytest.raises(GridError):
@@ -408,8 +413,8 @@ class TestMask:
 
     def test_shipped_stencils(self):
         cross = load_stencil("cross")
-        assert set(cross.indices) == set(mask_from_ap(4, 7, 46).indices) | set(
-            mask_from_ap(15, 1, 21).indices)
+        assert set(cross.indices) == set(mask_from_ap(4, 7, 46, 49).indices) | set(
+            mask_from_ap(15, 1, 21, 49).indices)
         k = load_stencil("k")
         assert len(k.indices) == 18
         assert max(k.indices) <= 54
