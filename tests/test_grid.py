@@ -240,6 +240,28 @@ class TestBestRowSelect:
         word = GridCodeword.from_rows([[one_flip], [sent]])
         assert g.best_row_select(word, by="error_weight") == 1
 
+    def test_unknown_rule_rejected(self):
+        g = GridCode.uniform(hamming(3), 2, 1)
+        word = GridCodeword.from_rows([[BV("0100101")], [BV("0100101")]])
+        with pytest.raises(GridError):
+            g.best_row_select(word, by="bogus")
+
+    def test_absent_cells_score_nothing(self):
+        g = GridCode.uniform(hamming(3), 3, 2)
+        good = BV("0100101")
+        flip = good.with_flipped([0])
+        word = GridCodeword.from_rows([[None, flip], [good, good], [flip, None]])
+        assert g.best_row_select(word) == 1
+        assert g.best_row_select(word, by="error_weight") == 1
+
+    def test_ties_go_to_the_lowest_row(self):
+        g = GridCode.uniform(hamming(3), 3, 2)
+        good = BV("0100101")
+        flip = good.with_flipped([3])
+        word = GridCodeword.from_rows([[flip, None], [None, good], [good, None]])
+        assert g.best_row_select(word) == 1
+        assert g.best_row_select(word, by="error_weight") == 1
+
 
 class TestReconcile:
     def test_identical_streams(self):
@@ -363,6 +385,13 @@ class TestChart:
         _, word = self._grid_word()
         with pytest.raises(GridError):
             apply_chart(word, TrueChart.from_text("**\n.."))
+
+    def test_marked_absent_cell_rejected(self):
+        word = GridCodeword.from_rows([[BV("0110"), None], [BV("1100"), BV("0000")]])
+        assert apply_chart(word, TrueChart.from_text("*.\n**")) == [
+            BV("0110"), BV("1100"), BV("0000")]
+        with pytest.raises(GridError):
+            apply_chart(word, TrueChart.from_text(".*\n.."))
 
     def test_text_roundtrip(self):
         chart = TrueChart.from_text(self.CHART_TEXT)

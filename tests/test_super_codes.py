@@ -447,6 +447,51 @@ class TestMembershipInvariant:
         assert len(words) == rc.cardinality()
 
 
+
+def _pinned_codes():
+    return [row_318(),
+            SuperRowCode([LinearCode.from_parity(h) for h in H_311]),
+            SuperColumnCode([LinearCode.from_parity(h) for h in H_322])]
+
+
+class TestComponentwiseAgreement:
+    """Each super code operation equals its components' own, segment by segment."""
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_operations_match_components(self, index):
+        code = _pinned_codes()[index]
+        comps = code.components
+        rng = random.Random(100 + index)
+        for _ in range(40):
+            messages = [BitVector(c.k, rng.getrandbits(c.k)) for c in comps]
+            sent = code.encode(messages)
+            assert sent.segments == tuple(c.encode(a) for c, a in zip(comps, messages))
+            word = SuperCodeword(tuple(BitVector(c.n, rng.getrandbits(c.n)) for c in comps))
+            for w in (sent, word):
+                assert code.syndrome(w) == tuple(c.syndrome(s)
+                                                 for c, s in zip(comps, w.segments))
+                assert code.is_member(w) == all(c.is_member(s)
+                                                for c, s in zip(comps, w.segments))
+                pairs = [c.decode(s) for c, s in zip(comps, w.segments)]
+                assert code.decode(w) == (SuperCodeword(tuple(p[0] for p in pairs)),
+                                          SuperCodeword(tuple(p[1] for p in pairs)))
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_misshapen_words_rejected(self, index):
+        code = _pinned_codes()[index]
+        segs = [BitVector.zeros(c.n) for c in code.components]
+        wrong_count = SuperCodeword(tuple(segs[:-1]))
+        wrong_length = SuperCodeword((BitVector.zeros(segs[0].length + 1), *segs[1:]))
+        for word in (wrong_count, wrong_length):
+            for op in (code.syndrome, code.is_member, code.decode):
+                with pytest.raises(CompositionError):
+                    op(word)
+        messages = [BitVector.zeros(c.k) for c in code.components]
+        for wrong in (messages[:-1], messages + messages[:1]):
+            with pytest.raises(CompositionError):
+                code.encode(wrong)
+
+
 def _poly(s: str):
     from gridfec.gf2 import Gf2Poly
     return Gf2Poly.from_string(s)
