@@ -17,7 +17,6 @@ from .gf2 import BitVector, Gf2Error
 from .grid import (
     GridCode,
     GridCodeword,
-    GridError,
     TrueChart,
     apply_chart,
     apply_mask,
@@ -45,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, CodeError, GridError, ChannelError, Gf2Error,
+    except (SpecError, CodeError, ChannelError, Gf2Error,
             ApproxDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

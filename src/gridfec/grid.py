@@ -3,8 +3,10 @@ stream serialization, redundancy voting, chart and mask selection, the
 cellwise dot product and orthogonal grids.
 
 Grid constraints: all cells of a column share one length, all cells of a row
-share one check-symbol count.  A grid codeword may mark cells as absent
-(sender-side empty marker); absent cells are skipped by syndromes and voting.
+share one check-symbol count.  `GridCode` is the one home of these rules and of
+the cellwise operations; a super row or column code is a one-row or one-column
+grid, so `GridError` is a `CompositionError`.  A grid codeword may mark cells as
+absent (sender-side empty marker); syndromes, decoding and voting skip them.
 Streams are only a file format: `format_super_word` and `parse_segments` are
 the one writer and reader of '|'-joined lines (absent cell: MISSING_CELL).
 The strategy rules `vote` and `arbitrate` run on cell bits (plain ints);
@@ -18,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .approx import pseudo_inner
 from .gf2 import BitVector, mat_vec_bits
@@ -27,11 +29,16 @@ from .linear import CodeError, LinearCode, Syndrome
 MISSING_CELL = "·"
 
 
-class GridError(CodeError):
+class CompositionError(CodeError):
+    """Raised when components violate a composition constraint."""
+
+
+class GridError(CompositionError):
     """Raised on grid constraint or shape violations."""
 
 
 Cells = tuple[tuple[Optional[BitVector], ...], ...]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,14 +86,15 @@ class GridCode:
         self.cells: tuple[tuple[LinearCode, ...], ...] = tuple(tuple(r) for r in cells)
         self.m = len(self.cells)
         self.n = len(self.cells[0])
-        for j in range(self.n):
-            lengths = {self.cells[i][j].n for i in range(self.m)}
-            if len(lengths) != 1:
-                raise GridError(f"column {j} mixes code lengths {sorted(lengths)}")
-        for i in range(self.m):
-            checks = {c.n - c.k for c in self.cells[i]}
-            if len(checks) != 1:
-                raise GridError(f"row {i} mixes check-symbol counts {sorted(checks)}")
+        lengths, checks = self.column_lengths(), self.row_check_counts()
+        for i, row in enumerate(self.cells):
+            for j, c in enumerate(row):
+                if c.n != lengths[j]:
+                    raise GridError(f"cell ({i}, {j}) has length {c.n}; "
+                                    f"column {j} has {lengths[j]}")
+                if c.n - c.k != checks[i]:
+                    raise GridError(f"cell ({i}, {j}) has {c.n - c.k} check symbols; "
+                                    f"row {i} has {checks[i]}")
 
     @classmethod
     def uniform(cls, code: LinearCode, m: int, n: int) -> "GridCode":
@@ -119,41 +127,27 @@ class GridCode:
     def encode(self, messages: Sequence[Sequence[BitVector]]) -> GridCodeword:
         if len(messages) != self.m or any(len(r) != self.n for r in messages):
             raise GridError(f"message grid must be {self.m}x{self.n}")
-        return GridCodeword(tuple(
-            tuple(self.cells[i][j].encode(messages[i][j]) for j in range(self.n))
-            for i in range(self.m)))
+        return GridCodeword(tuple(tuple(c.encode(a) for c, a in zip(codes, row))
+                                  for codes, row in zip(self.cells, messages)))
+
+    def _cellwise(self, word: GridCodeword, op: Callable[[LinearCode, BitVector], T]
+                  ) -> tuple[tuple[Optional[T], ...], ...]:
+        """op(code, cell) on each present cell; None where a cell is absent."""
+        self._check_shape(word)
+        return tuple(tuple(None if x is None else op(c, x) for c, x in zip(codes, row))
+                     for codes, row in zip(self.cells, word.cells))
 
     def syndrome(self, word: GridCodeword) -> tuple[tuple[Optional[Syndrome], ...], ...]:
-        self._check_shape(word)
-        return tuple(
-            tuple(None if word.cells[i][j] is None
-                  else self.cells[i][j].syndrome(word.cells[i][j])
-                  for j in range(self.n))
-            for i in range(self.m))
+        return self._cellwise(word, LinearCode.syndrome)
 
     def is_member(self, word: GridCodeword) -> bool:
         return all(s is None or s.bits == 0 for row in self.syndrome(word) for s in row)
 
     def decode(self, word: GridCodeword) -> tuple[GridCodeword, GridCodeword]:
-        """Per-cell coset decoding; absent cells stay absent."""
-        self._check_shape(word)
-        decoded = []
-        errors = []
-        for i in range(self.m):
-            drow = []
-            erow = []
-            for j in range(self.n):
-                c = word.cells[i][j]
-                if c is None:
-                    drow.append(None)
-                    erow.append(None)
-                else:
-                    x, e = self.cells[i][j].decode(c)
-                    drow.append(x)
-                    erow.append(e)
-            decoded.append(tuple(drow))
-            errors.append(tuple(erow))
-        return GridCodeword(tuple(decoded)), GridCodeword(tuple(errors))
+        """Per-cell coset decoding: (codeword, error); absent cells stay absent."""
+        pairs = self._cellwise(word, LinearCode.decode)
+        x, e = ([[None if p is None else p[k] for p in r] for r in pairs] for k in (0, 1))
+        return GridCodeword.from_rows(x), GridCodeword.from_rows(e)
 
     # -- streams -------------------------------------------------------------
 
@@ -193,24 +187,17 @@ class GridCode:
         """Index (0-based) of the row with the most zero cell syndromes.
 
         by="error_weight" instead minimizes the total decoded-error weight.
+        Absent cells score nothing; ties go to the lowest row.
         """
-        self._check_shape(received)
-        syn = self.syndrome(received)
-        best_idx = 0
-        best_score: Optional[tuple] = None
-        for i in range(self.m):
-            if by == "syndrome_count":
-                score = (-sum(1 for s in syn[i] if s is not None and s.bits == 0),)
-            elif by == "error_weight":
-                weights = [self.cells[i][j].decode(received.cells[i][j])[1].weight()
-                           for j in range(self.n) if received.cells[i][j] is not None]
-                score = (sum(weights),)
-            else:
-                raise GridError(f"unknown selection rule {by!r}")
-            if best_score is None or score < best_score:
-                best_score = score
-                best_idx = i
-        return best_idx
+        if by == "syndrome_count":
+            scores = [-sum(1 for s in row if s is not None and s.bits == 0)
+                      for row in self.syndrome(received)]
+        elif by == "error_weight":
+            scores = [sum(e.weight() for e in row if e is not None)
+                      for row in self.decode(received)[1].cells]
+        else:
+            raise GridError(f"unknown selection rule {by!r}")
+        return scores.index(min(scores))
 
     def simultaneous_reconcile(self, row_word: GridCodeword,
                                col_word: GridCodeword) -> "ReconcileResult":
@@ -398,15 +385,8 @@ def apply_chart(word: GridCodeword, chart: TrueChart) -> list[BitVector]:
     """The marked cells in row-major order."""
     if chart.m != word.m or chart.n != word.n:
         raise GridError(f"chart is {chart.m}x{chart.n}, word is {word.m}x{word.n}")
-    out = []
-    for i in range(word.m):
-        for j in range(word.n):
-            if chart.marks[i][j]:
-                c = word.cells[i][j]
-                if c is None:
-                    raise GridError(f"chart marks the absent cell ({i}, {j})")
-                out.append(c)
-    return out
+    marked = [(i, j) for i, row in enumerate(chart.marks) for j, b in enumerate(row) if b]
+    return apply_mask(word, CellMask.from_pairs(marked, word.n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -456,7 +436,7 @@ def apply_mask(word: GridCodeword, mask: CellMask) -> list[BitVector]:
         i, j = divmod(idx - 1, word.n)
         c = word.cells[i][j]
         if c is None:
-            raise GridError(f"mask selects the absent cell ({i}, {j})")
+            raise GridError(f"the selection includes the absent cell ({i}, {j})")
         out.append(c)
     return out
 

@@ -2,8 +2,10 @@
 
 A super row code chains codes that share a check-symbol count; its words are
 '|'-partitioned row vectors.  A super column code stacks codes of one common
-length; its words carry one length-n segment per component.  Membership,
-syndromes and decoding are all componentwise.
+length; its words carry one length-n segment per component.  A row code is a
+one-row `GridCode` and a column code a one-column one: the grid checks the
+composition rule (its `GridError` is a `CompositionError`) and runs the
+componentwise encoding, syndromes, membership and decoding.
 """
 
 from __future__ import annotations
@@ -15,12 +17,9 @@ from typing import Sequence
 
 from .families import CyclicSpec, cyclic_from_poly, hamming, parity_check, repetition
 from .gf2 import BitMatrix, BitVector, SuperMatrix
-from .grid import format_super_word
+from .grid import CompositionError as CompositionError  # re-exported
+from .grid import GridCode, GridCodeword, format_super_word
 from .linear import CodeError, LinearCode, Syndrome
-
-
-class CompositionError(CodeError):
-    """Raised when components violate a composition constraint."""
 
 
 class GeneratorUndefinedError(CodeError):
@@ -65,9 +64,12 @@ def super_distance(x: SuperCodeword, y: SuperCodeword) -> int:
 
 
 class _SuperCode:
-    """Shared componentwise machinery for row and column compositions."""
+    """A row or column composition held as a one-row or one-column grid; a
+    word's segments are the grid's cells in row-major order."""
 
-    components: tuple[LinearCode, ...]
+    def __init__(self, components: Sequence[LinearCode], by_row: bool):
+        self.components = tuple(components)
+        self._grid = GridCode([components] if by_row else [[c] for c in components])
 
     def __len__(self) -> int:
         return len(self.components)
@@ -79,44 +81,38 @@ class _SuperCode:
         return Fraction(sum(c.k for c in self.components),
                         sum(c.n for c in self.components))
 
-    def _check_shape(self, word: SuperCodeword) -> None:
-        expected = tuple(c.n for c in self.components)
-        if word.shape() != expected:
-            raise CompositionError(f"word shape {word.shape()} does not match {expected}")
+    def _cells(self, segments: Sequence[BitVector]) -> tuple[tuple[BitVector, ...], ...]:
+        """One segment per component, reshaped to the grid's rows."""
+        if len(segments) != len(self):
+            raise CompositionError(f"{len(segments)} segments for {len(self)} components")
+        n = self._grid.n
+        return tuple(tuple(segments[i:i + n]) for i in range(0, len(segments), n))
+
+    @staticmethod
+    def _flat(word: GridCodeword) -> SuperCodeword:
+        return SuperCodeword(tuple(c for row in word.cells for c in row))
 
     def encode(self, messages: Sequence[BitVector]) -> SuperCodeword:
-        if len(messages) != len(self.components):
-            raise CompositionError(
-                f"{len(messages)} messages for {len(self.components)} components")
-        return SuperCodeword(tuple(c.encode(a) for c, a in zip(self.components, messages)))
+        return self._flat(self._grid.encode(self._cells(messages)))
 
     def syndrome(self, word: SuperCodeword) -> tuple[Syndrome, ...]:
-        self._check_shape(word)
-        return tuple(c.syndrome(s) for c, s in zip(self.components, word.segments))
+        syn = self._grid.syndrome(GridCodeword(self._cells(word.segments)))
+        return tuple(s for row in syn for s in row)
 
     def is_member(self, word: SuperCodeword) -> bool:
-        return all(s.bits == 0 for s in self.syndrome(word))
+        return self._grid.is_member(GridCodeword(self._cells(word.segments)))
 
     def decode(self, word: SuperCodeword) -> tuple[SuperCodeword, SuperCodeword]:
         """Componentwise coset decoding: (codeword, error)."""
-        self._check_shape(word)
-        pairs = [c.decode(s) for c, s in zip(self.components, word.segments)]
-        return (SuperCodeword(tuple(p[0] for p in pairs)),
-                SuperCodeword(tuple(p[1] for p in pairs)))
+        decoded, errors = self._grid.decode(GridCodeword(self._cells(word.segments)))
+        return self._flat(decoded), self._flat(errors)
 
 
 class SuperRowCode(_SuperCode):
     """Codes C^1 .. C^n with a common check-symbol count m."""
 
     def __init__(self, components: Sequence[LinearCode]):
-        if not components:
-            raise CompositionError("a super row code needs at least one component")
-        checks = [c.n - c.k for c in components]
-        for i, m in enumerate(checks):
-            if m != checks[0]:
-                raise CompositionError(
-                    f"component {i} has {m} check symbols, expected {checks[0]}")
-        self.components = tuple(components)
+        super().__init__(components, by_row=True)
 
     @property
     def check_count(self) -> int:
@@ -164,14 +160,7 @@ class SuperColumnCode(_SuperCode):
     """Codes C_1 .. C_m sharing one length n, stacked vertically."""
 
     def __init__(self, components: Sequence[LinearCode]):
-        if not components:
-            raise CompositionError("a super column code needs at least one component")
-        lengths = [c.n for c in components]
-        for i, n in enumerate(lengths):
-            if n != lengths[0]:
-                raise CompositionError(
-                    f"component {i} has length {n}, expected {lengths[0]}")
-        self.components = tuple(components)
+        super().__init__(components, by_row=False)
 
     @property
     def length(self) -> int:
@@ -213,18 +202,9 @@ def row_family(kind: str, params) -> SuperRowCode:
     if kind == "parity":
         return SuperRowCode([parity_check(t) for t in params])
     if kind == "hamming":
-        ms = list(params)
-        if len(set(ms)) > 1:
-            raise CompositionError(
-                f"Hamming row components need equal check symbols, got m={ms}")
-        return SuperRowCode([hamming(m) for m in ms])
+        return SuperRowCode([hamming(m) for m in params])
     if kind == "cyclic":
-        specs = [p if isinstance(p, CyclicSpec) else CyclicSpec(*p) for p in params]
-        degs = {s.g.degree() for s in specs}
-        if len(degs) > 1:
-            raise CompositionError(
-                f"cyclic row components need equal deg(g), got {sorted(degs)}")
-        return SuperRowCode([cyclic_from_poly(s) for s in specs])
+        return SuperRowCode(_cyclic_codes(params))
     raise CompositionError(f"unknown row family kind {kind!r}")
 
 
@@ -244,6 +224,11 @@ def col_family(kind: str, params) -> SuperColumnCode:
         m, count = params
         return SuperColumnCode([hamming(m) for _ in range(count)])
     if kind == "cyclic":
-        specs = [p if isinstance(p, CyclicSpec) else CyclicSpec(*p) for p in params]
-        return SuperColumnCode([cyclic_from_poly(s) for s in specs])
+        return SuperColumnCode(_cyclic_codes(params))
     raise CompositionError(f"unknown column family kind {kind!r}")
+
+
+def _cyclic_codes(params) -> list[LinearCode]:
+    """One cyclic code per CyclicSpec or (n, g) pair."""
+    return [cyclic_from_poly(p if isinstance(p, CyclicSpec) else CyclicSpec(*p))
+            for p in params]

@@ -78,7 +78,7 @@ class TestParseSpec:
     def test_mismatched_row_checks_rejected(self):
         doc = {"shape": "row", "cells": [
             {"kind": "hamming", "m": 3}, {"kind": "repetition", "n": 6}]}
-        with pytest.raises(SpecError, match="component 1"):
+        with pytest.raises(SpecError, match=r"cell \(0, 1\)"):
             parse_spec(json.dumps(doc))
 
     def test_unknown_name_rejected(self):

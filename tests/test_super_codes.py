@@ -50,7 +50,7 @@ class TestRowConstruction:
     def test_check_symbol_mismatch_names_index(self):
         a = LinearCode.from_parity(BM(["0101000", "1010100", "0010010", "0010001"]))
         b = hamming(3)
-        with pytest.raises(CompositionError, match="component 1"):
+        with pytest.raises(CompositionError, match=r"cell \(0, 1\)"):
             SuperRowCode([a, b])
 
     def test_two_component_cardinality(self):
@@ -333,7 +333,7 @@ class TestColumnConstruction:
         assert cc.cardinality() == 2 ** 12
 
     def test_mixed_lengths_rejected(self):
-        with pytest.raises(CompositionError, match="component 1"):
+        with pytest.raises(CompositionError, match=r"cell \(1, 0\)"):
             SuperColumnCode([repetition(6), repetition(7)])
 
     def test_cyclic_column_words(self):
