@@ -10,7 +10,7 @@ from gridfec.approx import (
     pseudo_inner,
 )
 from gridfec.gf2 import BitMatrix, BitVector, Gf2Error
-from gridfec.linear import LinearCode
+from gridfec.linear import CodeError, LinearCode
 
 BV = BitVector.from_string
 
@@ -138,3 +138,45 @@ class TestApproxDecode:
             except ApproxDecodeError:
                 continue
             assert approx_decode(self.CODE, y) == first
+
+
+class TestApproxDecodePins:
+    """approx_decode is G's projection; it fails exactly on non-codewords orthogonal to C."""
+
+    @staticmethod
+    def random_code(rng: random.Random) -> LinearCode:
+        """A code given by random independent generator rows, 1 <= k < n <= 10."""
+        while True:
+            n = rng.randint(2, 10)
+            k = rng.randint(1, n - 1)
+            g = BitMatrix(k, n, tuple(rng.getrandbits(n) for _ in range(k)))
+            try:
+                return LinearCode.from_generator(g)
+            except CodeError:
+                continue
+
+    def test_result_is_the_generator_projection(self):
+        rng = random.Random(1107)
+        raised = projected = 0
+        for _ in range(300):
+            code = self.random_code(rng)
+            g = code.generator()
+            rows = [g.row(i) for i in range(g.rows)]
+            for _ in range(8):
+                y = BitVector(code.n, rng.getrandbits(code.n))
+                projection = BitVector.zeros(code.n)
+                for alpha in rows:
+                    if pseudo_inner(y, alpha):
+                        projection ^= alpha
+                if code.is_member(y):
+                    assert approx_decode(code, y) == y
+                elif projection.bits == 0:
+                    # y is orthogonal to every row of G, hence to all of C.
+                    assert all(pseudo_inner(y, w) == 0 for w in code.codewords)
+                    with pytest.raises(ApproxDecodeError):
+                        approx_decode(code, y)
+                    raised += 1
+                else:
+                    assert approx_decode(code, y) == projection
+                    projected += 1
+        assert raised and projected

@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
-from gridfec.gf2 import BitMatrix, BitVector, mat_mul, mat_vec, transpose
+from gridfec.gf2 import BitMatrix, BitVector, mat_mul, mat_vec, mat_vec_bits, transpose
 from gridfec.linear import CapacityError, CodeError, LinearCode
 
 BV = BitVector.from_string
@@ -32,6 +32,36 @@ def random_code(rng: random.Random, max_n: int = 10) -> LinearCode:
             code = LinearCode.from_parity(h)
             if 1 <= code.k < n:
                 return code
+
+
+
+def family_codes() -> list[LinearCode]:
+    from gridfec.families import hamming, parity_check, repetition
+    return [hamming(3), hamming(4), repetition(9), repetition(14), parity_check(17)]
+
+
+def frozen_coset_walk(code: LinearCode) -> list[tuple[int, int]]:
+    """The coset table's items, (syndrome bits, leader bits), as the reference
+    walk builds them: supports by weight, then lexicographically, first wins."""
+    total = 1 << (code.n - code.k)
+    leaders = {0: 0}
+    units = [1 << i for i in range(code.n)]
+    for support in chain.from_iterable(combinations(units, w) for w in range(1, code.n + 1)):
+        if len(leaders) == total:
+            break
+        e = sum(support)
+        s = mat_vec_bits(code.h.row_words, e)
+        if s not in leaders:
+            leaders[s] = e
+    return list(leaders.items())
+
+
+def direct_weights(code: LinearCode) -> list[int]:
+    """A_0 .. A_n counted over every codeword."""
+    counts = [0] * (code.n + 1)
+    for w in code.codewords:
+        counts[w.weight()] += 1
+    return counts
 
 
 class TestFromParity:
@@ -354,6 +384,31 @@ class TestDetectCorrectTradeoff:
     def test_negative_rejected(self):
         with pytest.raises(CodeError):
             hamming3().can_correct_and_detect(-1, 0)
+
+
+class TestEnumerationPins:
+    """Outputs of the exhaustive walks, pinned against reference enumerations."""
+
+    def test_coset_table_items_and_order(self):
+        rng = random.Random(1101)
+        codes = family_codes() + [random_code(rng, max_n=14) for _ in range(300)]
+        for c in codes:
+            items = [(s, e.bits) for s, e in c.coset_table.items()]
+            assert items == frozen_coset_walk(c), c
+
+    def test_min_distance_matches_direct_enumeration(self):
+        rng = random.Random(1102)
+        for _ in range(60):
+            c = random_code(rng, max_n=16)
+            weights = direct_weights(c)
+            assert c.min_distance() == next(j for j in range(1, c.n + 1) if weights[j])
+
+    def test_golay_min_distance(self):
+        from gridfec.families import CyclicSpec, cyclic_from_poly
+        from gridfec.gf2 import Gf2Poly
+        golay = cyclic_from_poly(CyclicSpec(23, Gf2Poly.from_string("110001110101")))
+        assert (golay.n, golay.k) == (23, 12)
+        assert golay.min_distance() == 7
 
 
 def hamming3():
