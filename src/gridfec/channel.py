@@ -148,7 +148,7 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
     copies = 2 if strategy == "simultaneous" else 1
     if strategy == "per_cell_decode":
         # Each cell's own coset table, built (or refused by its guard) before any trial.
-        tables = [[code.coset_table for code in row] for row in grid.cells]
+        tables = [[code.leader_bits for code in row] for row in grid.cells]
 
     successes = 0
     undetected = 0
@@ -175,7 +175,7 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
                     if e:
                         syndrome = mat_vec_bits(checks[i][j], e)
                         hidden = hidden or not syndrome
-                        leader = tables[i][j][syndrome].bits
+                        leader = tables[i][j][syndrome]
                         residual += (e ^ leader).bit_count()
                         ok = ok and e == leader
         else:

@@ -254,8 +254,8 @@ def vote(code: LinearCode, values: list[int]) -> int:
     counts = Counter(values)
     top = max(counts.values())
     if top == 1 and len(values) > 1:
-        table = code.coset_table
-        counts = Counter(v ^ table[mat_vec_bits(rows, v)].bits for v in values)
+        table = code.leader_bits
+        counts = Counter(v ^ table[mat_vec_bits(rows, v)] for v in values)
         top = max(counts.values())
     tied = [v for v, c in counts.items() if c == top]
     return min(tied, key=lambda v: (mat_vec_bits(rows, v).bit_count(),
@@ -276,8 +276,8 @@ def arbitrate(code: LinearCode, a: int, b: int) -> int:
     sb = mat_vec_bits(rows, b)
     if not sb:
         return b
-    ea = code.coset_table[sa].bits
-    eb = code.coset_table[sb].bits
+    ea = code.leader_bits[sa]
+    eb = code.leader_bits[sb]
     return b ^ eb if eb.bit_count() < ea.bit_count() else a ^ ea
 
 

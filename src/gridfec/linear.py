@@ -1,16 +1,20 @@
 """Binary (n, k) linear block codes: construction, syndromes, coset decoding.
 
 A code is the null space of its parity-check matrix H.  Every value here is
-immutable after construction; expensive derivations (codeword set, coset
-table) are computed once and cached.  Enumeration runs over plain ints, and
-the coset table is keyed by the syndrome's bits.
+immutable after construction; expensive derivations (codeword set, weight
+distribution, coset leaders) are computed once and cached.  Enumeration runs
+over plain ints from the smaller side: the weight distribution walks the
+code or, when that is larger, its dual and applies the MacWilliams identity,
+and the coset leaders are keyed by the syndrome's bits.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, combinations
+from functools import cached_property, reduce
+from itertools import combinations
+from operator import xor
 from typing import Iterator, Optional
 
 from .gf2 import (
@@ -19,7 +23,6 @@ from .gf2 import (
     eliminate,
     mat_mul,
     mat_vec,
-    mat_vec_bits,
     null_space_basis,
     rank,
     row_space_basis,
@@ -32,6 +35,15 @@ Syndrome = BitVector
 # Enumeration guards; every instance in scope sits far below these.
 MAX_MESSAGE_BITS = 24
 MAX_CHECK_BITS = 20
+
+
+def _span(rows: list[int]) -> Iterator[int]:
+    """Every vector spanned by the independent `rows`, as ints, in Gray-code order."""
+    w = 0
+    yield w
+    for i in range(1, 1 << len(rows)):
+        w ^= rows[(i & -i).bit_length() - 1]  # the row indexed by i's trailing zeros
+        yield w
 
 
 class CodeError(ValueError):
@@ -120,18 +132,9 @@ class LinearCode:
     @cached_property
     def codewords(self) -> frozenset[BitVector]:
         """All 2^k codewords (guarded by MAX_MESSAGE_BITS)."""
-        return frozenset(BitVector(self.n, w) for w in self._word_ints())
-
-    def _word_ints(self) -> Iterator[int]:
-        """Every codeword's bits in Gray-code order; raises CapacityError on first use."""
         if self.k > MAX_MESSAGE_BITS:
             raise CapacityError(f"k={self.k} exceeds the enumeration guard of {MAX_MESSAGE_BITS}")
-        rows = [v.bits for v in self._basis()]
-        w = 0
-        yield w
-        for i in range(1, 1 << len(rows)):
-            w ^= rows[(i & -i).bit_length() - 1]  # the row indexed by i's trailing zeros
-            yield w
+        return frozenset(BitVector(self.n, w) for w in _span([v.bits for v in self._basis()]))
 
     def _basis(self) -> list[BitVector]:
         """A basis of the code: the rows of the given G, else the null space of H."""
@@ -164,10 +167,40 @@ class LinearCode:
 
     # -- distances ---------------------------------------------------------
 
+    def weight_distribution(self) -> tuple[int, ...]:
+        """(A_0, ..., A_n): how many codewords have each weight; computed once.
+
+        Walks the code when k <= n - k, else its dual (the row space of H) for
+        B_0 .. B_n and applies the MacWilliams identity
+        A_j = 2^-(n-k) sum_i B_i K_j(i) in exact integers, with the Krawtchouk
+        recurrence (j+1) K_{j+1}(i) = (n-2i) K_j(i) - (n-j+1) K_{j-1}(i).
+        Guarded by min(k, n - k) <= MAX_MESSAGE_BITS.
+        """
+        return self._weights
+
+    @cached_property
+    def _weights(self) -> tuple[int, ...]:
+        n, m = self.n, self.n - self.k
+        if min(self.k, m) > MAX_MESSAGE_BITS:
+            raise CapacityError(f"min(k, n-k)={min(self.k, m)} exceeds the enumeration "
+                                f"guard of {MAX_MESSAGE_BITS}")
+        small = self._basis() if self.k <= m else row_space_basis(self.h)
+        found = Counter(map(int.bit_count, _span([v.bits for v in small])))
+        if self.k <= m:
+            return tuple(found[j] for j in range(n + 1))
+        a = [0] * (n + 1)
+        for i, b in found.items():
+            prev, cur = 0, 1  # K_{j-1}(i), K_j(i) from j = 0
+            for j in range(n + 1):
+                a[j] += b * cur
+                prev, cur = cur, ((n - 2 * i) * cur - (n - j + 1) * prev) // (j + 1)
+        return tuple(x >> m for x in a)
+
     def min_distance(self) -> int:
+        """The least weight of a nonzero codeword."""
         if self.k < 1:
             raise CodeError("the zero code has no nonzero codeword")
-        return min(w.bit_count() for w in self._word_ints() if w)
+        return next(j for j, a in enumerate(self.weight_distribution()) if j and a)
 
     def error_capability(self) -> int:
         """t = floor((d - 1) / 2)."""
@@ -185,8 +218,8 @@ class LinearCode:
     # -- coset decoding ----------------------------------------------------
 
     @cached_property
-    def coset_table(self) -> dict[int, BitVector]:
-        """Map from a syndrome's bits (`syndrome(y).bits`) to its minimum-weight coset leader.
+    def leader_bits(self) -> dict[int, int]:
+        """Map from a syndrome's bits (`syndrome(y).bits`) to its minimum-weight coset leader's bits.
 
         Ties between minimum-weight vectors are broken toward the smallest
         support (earliest flipped positions), matching the worked coset tables.
@@ -195,23 +228,30 @@ class LinearCode:
         if m > MAX_CHECK_BITS:
             raise CapacityError(f"n-k={m} exceeds the coset guard of {MAX_CHECK_BITS}")
         total = 1 << m
-        leaders = {0: BitVector.zeros(self.n)}
+        columns = transpose(self.h).row_words  # column i's syndrome
         units = [1 << i for i in range(self.n)]
+        leaders = {0: 0}
         # Supports by ascending weight, each weight in ascending lexicographic
         # order, so the first vector seen per syndrome has the smallest support.
-        supports = chain.from_iterable(combinations(units, w) for w in range(1, self.n + 1))
-        for support in supports:
+        for w in range(1, self.n + 1):
             if len(leaders) == total:
                 break
-            e = sum(support)
-            s = mat_vec_bits(self.h.row_words, e)
-            if s not in leaders:
-                leaders[s] = BitVector(self.n, e)
+            for cols, support in zip(combinations(columns, w), combinations(units, w)):
+                s = reduce(xor, cols)
+                if s not in leaders:
+                    leaders[s] = sum(support)
+                    if len(leaders) == total:
+                        break
         return leaders
+
+    @cached_property
+    def coset_table(self) -> dict[int, BitVector]:
+        """`leader_bits` with each leader as a BitVector, in the same order."""
+        return {s: BitVector(self.n, e) for s, e in self.leader_bits.items()}
 
     def decode(self, y: BitVector) -> tuple[BitVector, BitVector]:
         """Coset-leader decoding: returns (codeword, presumed error)."""
-        e = self.coset_table[self.syndrome(y).bits]
+        e = BitVector(self.n, self.leader_bits[self.syndrome(y).bits])
         return y ^ e, e
 
     # -- derived codes -----------------------------------------------------

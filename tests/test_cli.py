@@ -1,6 +1,8 @@
 """Golden-example reproduction through the command-line interface."""
 
+import json
 import os
+import random
 from importlib import resources
 from pathlib import Path
 
@@ -70,11 +72,23 @@ class TestCodeCommands:
         assert out == (FIXTURES / "golden_code_info_cyclic.txt").read_text()
 
     def test_info_past_the_enumeration_guard(self, capsys, tmp_path):
-        spec = tmp_path / "pc26.json"
-        spec.write_text('{"kind": "parity_check", "n": 26}')
+        # A random (60, 30) code: both k and n - k exceed the guard of 24.
+        rng = random.Random(60)
+        rows = ["".join(rng.choice("01") for _ in range(60)) for _ in range(30)]
+        spec = tmp_path / "random60.json"
+        spec.write_text(json.dumps({"kind": "parity", "rows": rows}))
+        code = parse_spec(spec.read_text())
+        assert min(code.k, code.n - code.k) > 24
         rc, out = run(capsys, "code", "info", "--spec", str(spec))
         assert rc == 0
         assert "min distance: skipped (code too large to enumerate)\n" in out
+
+    def test_info_reports_distance_from_the_dual(self, capsys, tmp_path):
+        spec = tmp_path / "hamming5.json"
+        spec.write_text('{"kind": "hamming", "m": 5}')
+        rc, out = run(capsys, "code", "info", "--spec", str(spec))
+        assert rc == 0
+        assert "min distance: 3\n" in out
 
     def test_validation_error_exits_two(self, capsys):
         rc = main(["code", "encode", "--spec", fx("ex_1_2_1.json"), "--message", "11"])

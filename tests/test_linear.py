@@ -196,9 +196,12 @@ class TestMinDistance:
             LinearCode.from_parity(BitMatrix.identity(3)).min_distance()
 
     def test_enumeration_guard(self):
-        from gridfec.families import parity_check
+        rng = random.Random(60)
+        h = BitMatrix(30, 60, tuple(rng.getrandbits(60) for _ in range(30)))
+        code = LinearCode.from_parity(h)
+        assert min(code.k, code.n - code.k) > 24  # both sides past MAX_MESSAGE_BITS
         with pytest.raises(CapacityError):
-            parity_check(26).min_distance()  # k = 25 > MAX_MESSAGE_BITS
+            code.min_distance()
 
     def test_error_capability(self):
         assert LinearCode.from_parity(H_126).error_capability() == 0  # d = 2
@@ -404,11 +407,67 @@ class TestEnumerationPins:
             assert c.min_distance() == next(j for j in range(1, c.n + 1) if weights[j])
 
     def test_golay_min_distance(self):
-        from gridfec.families import CyclicSpec, cyclic_from_poly
-        from gridfec.gf2 import Gf2Poly
-        golay = cyclic_from_poly(CyclicSpec(23, Gf2Poly.from_string("110001110101")))
+        golay = golay_code()
         assert (golay.n, golay.k) == (23, 12)
         assert golay.min_distance() == 7
+
+
+class TestWeightDistribution:
+    def test_matches_direct_enumeration(self):
+        rng = random.Random(1103)
+        sides = set()
+        for _ in range(80):
+            c = random_code(rng, max_n=20)
+            if max(c.k, c.n - c.k) > 16:
+                continue
+            assert list(c.weight_distribution()) == direct_weights(c)
+            sides.add(c.k <= c.n - c.k)
+        assert sides == {True, False}  # both the direct walk and MacWilliams ran
+
+    def test_counts_sum_to_the_code_size(self):
+        rng = random.Random(1104)
+        for c in family_codes() + [random_code(rng, max_n=20) for _ in range(40)]:
+            a = c.weight_distribution()
+            assert len(a) == c.n + 1 and a[0] == 1
+            assert sum(a) == 1 << c.k
+
+    def test_golay_golden(self):
+        expected = {0: 1, 7: 253, 8: 506, 11: 1288, 12: 1288, 15: 506, 16: 253, 23: 1}
+        assert golay_code().weight_distribution() == tuple(expected.get(j, 0) for j in range(24))
+
+    def test_zero_code_and_full_space(self):
+        zero = LinearCode.from_parity(BitMatrix.identity(4))
+        assert zero.weight_distribution() == (1, 0, 0, 0, 0)
+        full = LinearCode.from_generator(BitMatrix.identity(4))
+        assert full.weight_distribution() == (1, 4, 6, 4, 1)
+
+    def test_dual_side_past_the_message_guard(self):
+        from math import comb
+
+        from gridfec.families import hamming, parity_check
+        pc = parity_check(26)  # k = 25 > MAX_MESSAGE_BITS; the dual has 2 words
+        assert pc.weight_distribution() == tuple(comb(26, j) * (1 - j % 2) for j in range(27))
+        assert pc.min_distance() == 2
+        assert hamming(5).min_distance() == 3  # k = 26, n - k = 5
+
+
+class TestLeaderBits:
+    def test_coset_table_is_a_view_of_the_leaders(self):
+        rng = random.Random(1105)
+        for c in family_codes() + [random_code(rng, max_n=12) for _ in range(30)]:
+            assert [(s, e.bits) for s, e in c.coset_table.items()] == list(c.leader_bits.items())
+
+    def test_decode_reads_the_leaders_only(self):
+        c = LinearCode.from_parity(H_126)
+        word, err = c.decode(BV("11110"))
+        assert (str(word), str(err)) == ("11010", "00100")
+        assert "coset_table" not in vars(c)
+
+
+def golay_code() -> LinearCode:
+    from gridfec.families import CyclicSpec, cyclic_from_poly
+    from gridfec.gf2 import Gf2Poly
+    return cyclic_from_poly(CyclicSpec(23, Gf2Poly.from_string("110001110101")))
 
 
 def hamming3():
