@@ -7,6 +7,7 @@ corrected or arbitrated) errors, 2 on usage or validation problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -50,6 +51,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
 
 
+@functools.cache  # one parser per process; parse_args returns a fresh Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridfec",

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from gridfec.channel import ChannelConfig, run_trial
-from gridfec.cli import main
+from gridfec.cli import _build_parser, main
 from gridfec.gf2 import BitVector
 from gridfec.specio import parse_spec
 
@@ -24,6 +24,30 @@ def fx(name: str) -> str:
 def run(capsys, *argv: str) -> tuple[int, str]:
     rc = main(list(argv))
     return rc, capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_a_refused_argv_leaves_the_parser_as_built(self, capsys):
+        info = ["code", "info", "--spec", fx("ex_1_2_1.json")]
+        _build_parser.cache_clear()
+        fresh = run(capsys, *info)
+        with pytest.raises(SystemExit) as exc:
+            main(["code", "decode", "--spec", fx("ex_1_2_1.json"), "--strategy", "nope"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *info) == fresh
+        assert _build_parser.cache_info().misses == 1
+
+    def test_help_screens_are_unchanged_by_reuse(self, capsys):
+        def help_text() -> str:
+            with pytest.raises(SystemExit):
+                main(["code", "decode", "--help"])
+            return capsys.readouterr().out
+
+        _build_parser.cache_clear()
+        fresh = help_text()
+        run(capsys, "code", "info", "--spec", fx("ex_1_2_1.json"))
+        assert help_text() == fresh
 
 
 class TestCodeCommands:
