@@ -1,8 +1,9 @@
 """Pseudo inner product over GF(2) and pseudo-best-approximation decoding.
 
-The pseudo inner product is the plain GF(2) dot product; it can vanish on a
-nonzero vector paired with itself, which is why the projection-style decoder
-below may need to retry with a different basis.
+The pseudo inner product is the plain GF(2) dot product.  Projecting y onto
+a basis of a code C XORs the basis rows alpha with <y, alpha> = 1; they are
+independent, so the projection vanishes exactly when y is orthogonal to C,
+for every basis of C at once.  A retry with another basis can never succeed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .linear import LinearCode
 
 
 class ApproxDecodeError(ValueError):
-    """Raised when every scheduled basis choice yields a vanishing projection."""
+    """Raised when a non-codeword's projection vanishes: it is orthogonal to the code."""
 
 
 def pseudo_inner(x: BitVector, y: BitVector) -> int:
@@ -60,23 +61,13 @@ def pseudo_best_approx(beta: BitVector, basis: Basis) -> Optional[BitVector]:
 
 
 def approx_decode(code: LinearCode, y: BitVector) -> BitVector:
-    """Project a received word onto the code via pseudo best approximation.
-
-    Codewords pass through unchanged.  The basis schedule is deterministic:
-    first the rows of G, then, when k >= 2, for i ascending, the rows of G
-    with row i replaced by row i XOR row (i+1 mod k).
-    """
+    """Project a received word onto the rows of G; codewords pass through unchanged."""
     if code.syndrome(y).bits == 0:
         return y
-    g = code.generator()
-    rows = [g.row(i) for i in range(g.rows)]
-    schedule = [rows]
-    if g.rows >= 2:
-        schedule += [rows[:i] + [rows[i] ^ rows[(i + 1) % g.rows]] + rows[i + 1:]
-                     for i in range(g.rows)]
-    for candidate in schedule:
-        result = pseudo_best_approx(y, Basis(tuple(candidate)))
-        if result is not None:
-            return result
-    raise ApproxDecodeError(
-        f"all {len(schedule)} scheduled bases produced a vanishing projection")
+    acc = 0
+    for row in code.generator().row_words:  # independent rows: no Basis check needed
+        if (row & y.bits).bit_count() & 1:
+            acc ^= row
+    if not acc:
+        raise ApproxDecodeError("vanishing projection onto G: y is orthogonal to the code")
+    return BitVector(code.n, acc)

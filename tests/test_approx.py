@@ -123,10 +123,10 @@ class TestApproxDecode:
                 assert code.syndrome(result).bits == 0
 
     def test_single_row_generator_has_no_retry(self):
-        # With k = 1 the only basis is G itself: row 0 XOR row 0 would be
-        # the zero vector, so no replacement basis is scheduled.
+        # 1100 is orthogonal to the only row of G, 1111, so its projection
+        # vanishes and, as for every basis of the code, no retry is made.
         code = LinearCode.from_parity(BitMatrix.from_strings(["1100", "1010", "1001"]))
-        with pytest.raises(ApproxDecodeError, match="all 1 scheduled bases"):
+        with pytest.raises(ApproxDecodeError, match="vanishing projection onto G"):
             approx_decode(code, BV("1100"))
 
     def test_retry_schedule_is_deterministic(self):
