@@ -1,11 +1,9 @@
 """Binary (n, k) linear block codes: construction, syndromes, coset decoding.
 
 A code is the null space of its parity-check matrix H.  Every value here is
-immutable after construction; expensive derivations (codeword set, weight
+immutable after construction; expensive derivations (codewords, weight
 distribution, coset leaders) are computed once and cached.  Enumeration runs
-over plain ints from the smaller side: the weight distribution walks the
-code or, when that is larger, its dual and applies the MacWilliams identity,
-and the coset leaders are keyed by the syndrome's bits.
+over plain ints, from the smaller of the code and its dual.
 """
 
 from __future__ import annotations
@@ -168,13 +166,11 @@ class LinearCode:
     # -- distances ---------------------------------------------------------
 
     def weight_distribution(self) -> tuple[int, ...]:
-        """(A_0, ..., A_n): how many codewords have each weight; computed once.
+        """(A_0, ..., A_n), the number of codewords of each weight; computed once.
 
-        Walks the code when k <= n - k, else its dual (the row space of H) for
-        B_0 .. B_n and applies the MacWilliams identity
-        A_j = 2^-(n-k) sum_i B_i K_j(i) in exact integers, with the Krawtchouk
-        recurrence (j+1) K_{j+1}(i) = (n-2i) K_j(i) - (n-j+1) K_{j-1}(i).
-        Guarded by min(k, n - k) <= MAX_MESSAGE_BITS.
+        Walks the smaller of the code and its dual (the row space of H).  From
+        the dual's B_i, A_j = 2^-(n-k) sum_i B_i K_j(i) (MacWilliams identity),
+        with (j+1) K_{j+1}(i) = (n-2i) K_j(i) - (n-j+1) K_{j-1}(i) (Krawtchouk).
         """
         return self._weights
 
@@ -182,8 +178,7 @@ class LinearCode:
     def _weights(self) -> tuple[int, ...]:
         n, m = self.n, self.n - self.k
         if min(self.k, m) > MAX_MESSAGE_BITS:
-            raise CapacityError(f"min(k, n-k)={min(self.k, m)} exceeds the enumeration "
-                                f"guard of {MAX_MESSAGE_BITS}")
+            raise CapacityError(f"k={self.k} and n-k={m} exceed the guard of {MAX_MESSAGE_BITS}")
         small = self._basis() if self.k <= m else row_space_basis(self.h)
         found = Counter(map(int.bit_count, _span([v.bits for v in small])))
         if self.k <= m:
@@ -219,7 +214,7 @@ class LinearCode:
 
     @cached_property
     def leader_bits(self) -> dict[int, int]:
-        """Map from a syndrome's bits (`syndrome(y).bits`) to its minimum-weight coset leader's bits.
+        """Map from a syndrome's bits (`syndrome(y).bits`) to its minimum-weight coset leader's.
 
         Ties between minimum-weight vectors are broken toward the smallest
         support (earliest flipped positions), matching the worked coset tables.
