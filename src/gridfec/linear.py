@@ -214,7 +214,7 @@ class LinearCode:
 
     @cached_property
     def leader_bits(self) -> dict[int, int]:
-        """Map from a syndrome's bits (`syndrome(y).bits`) to its minimum-weight coset leader's.
+        """Map from a syndrome's bits (`syndrome(y).bits`) to its minimum-weight leader's bits.
 
         Ties between minimum-weight vectors are broken toward the smallest
         support (earliest flipped positions), matching the worked coset tables.
