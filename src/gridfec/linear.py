@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import chain, combinations
 from operator import xor
 from typing import Iterator, Optional
 
@@ -33,15 +33,17 @@ Syndrome = BitVector
 # Enumeration guards; every instance in scope sits far below these.
 MAX_MESSAGE_BITS = 24
 MAX_CHECK_BITS = 20
+MAX_CODE_LENGTH = 1024  # longest code weighed through its dual; families are capped here too
 
 
 def _span(rows: list[int]) -> Iterator[int]:
-    """Every vector spanned by the independent `rows`, as ints, in Gray-code order."""
-    w = 0
-    yield w
-    for i in range(1, 1 << len(rows)):
-        w ^= rows[(i & -i).bit_length() - 1]  # the row indexed by i's trailing zeros
-        yield w
+    """Every vector spanned by the independent `rows`, as ints: each vector of
+    the first half's span XOR each of the second half's, so the walk runs in C."""
+    low, high = [0], [0]
+    for i, r in enumerate(rows):
+        half = low if 2 * i < len(rows) else high
+        half.extend([w ^ r for w in half])
+    return chain.from_iterable(map(h.__xor__, low) for h in high)
 
 
 class CodeError(ValueError):
@@ -165,20 +167,20 @@ class LinearCode:
 
     # -- distances ---------------------------------------------------------
 
+    @cached_property
     def weight_distribution(self) -> tuple[int, ...]:
-        """(A_0, ..., A_n), the number of codewords of each weight; computed once.
+        """(A_0, ..., A_n), the number of codewords of each weight.
 
         Walks the smaller of the code and its dual (the row space of H).  From
         the dual's B_i, A_j = 2^-(n-k) sum_i B_i K_j(i) (MacWilliams identity),
         with (j+1) K_{j+1}(i) = (n-2i) K_j(i) - (n-j+1) K_{j-1}(i) (Krawtchouk).
         """
-        return self._weights
-
-    @cached_property
-    def _weights(self) -> tuple[int, ...]:
         n, m = self.n, self.n - self.k
         if min(self.k, m) > MAX_MESSAGE_BITS:
             raise CapacityError(f"k={self.k} and n-k={m} exceed the guard of {MAX_MESSAGE_BITS}")
+        if self.k > m and n > MAX_CODE_LENGTH:
+            # The transform holds n + 1 integers of up to n bits each.
+            raise CapacityError(f"n={n} exceeds the transform guard of {MAX_CODE_LENGTH}")
         small = self._basis() if self.k <= m else row_space_basis(self.h)
         found = Counter(map(int.bit_count, _span([v.bits for v in small])))
         if self.k <= m:
@@ -195,7 +197,7 @@ class LinearCode:
         """The least weight of a nonzero codeword."""
         if self.k < 1:
             raise CodeError("the zero code has no nonzero codeword")
-        return next(j for j, a in enumerate(self.weight_distribution()) if j and a)
+        return next(j for j, a in enumerate(self.weight_distribution) if j and a)
 
     def error_capability(self) -> int:
         """t = floor((d - 1) / 2)."""

@@ -27,12 +27,10 @@ from .families import CyclicSpec, cyclic_from_poly, hamming, parity_check, repet
 from .gf2 import BitMatrix, BitVector, Gf2Error, Gf2Poly
 from .grid import GridCode, GridError, parse_segments
 from .grid import format_super_word as format_super_word  # re-exported
-from .linear import CodeError, LinearCode
+from .linear import MAX_CODE_LENGTH, CodeError, LinearCode
 from .super_codes import SuperColumnCode, SuperCodeword, SuperRowCode
 
 AnyCode = Union[LinearCode, SuperRowCode, SuperColumnCode, GridCode]
-
-MAX_CODE_LENGTH = 1024  # longest code a family spec may ask for (hamming: m <= 10)
 
 
 class SpecError(ValueError):

@@ -107,12 +107,22 @@ class TestCodeCommands:
         assert rc == 0
         assert "min distance: skipped (code too large to enumerate)\n" in out
 
-    def test_info_reports_distance_from_the_dual(self, capsys, tmp_path):
-        spec = tmp_path / "hamming5.json"
-        spec.write_text('{"kind": "hamming", "m": 5}')
+    @pytest.mark.parametrize("m", [5, 10])
+    def test_info_reports_distance_from_the_dual(self, capsys, tmp_path, m):
+        spec = tmp_path / "hamming.json"
+        spec.write_text(json.dumps({"kind": "hamming", "m": m}))
         rc, out = run(capsys, "code", "info", "--spec", str(spec))
         assert rc == 0
         assert "min distance: 3\n" in out
+
+    def test_info_skips_a_wide_inline_code(self, capsys, tmp_path):
+        # One inline check row 100,000 bits wide: n - k = 1, but n is past the
+        # transform guard, so nothing of size n squared is built.
+        spec = tmp_path / "wide.json"
+        spec.write_text(json.dumps({"kind": "parity", "rows": ["1" * 100_000]}))
+        rc, out = run(capsys, "code", "info", "--spec", str(spec))
+        assert rc == 0
+        assert "min distance: skipped (code too large to enumerate)\n" in out
 
     def test_validation_error_exits_two(self, capsys):
         rc = main(["code", "encode", "--spec", fx("ex_1_2_1.json"), "--message", "11"])

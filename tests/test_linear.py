@@ -5,7 +5,7 @@ from itertools import chain, combinations
 import pytest
 
 from gridfec.gf2 import BitMatrix, BitVector, mat_mul, mat_vec, mat_vec_bits, transpose
-from gridfec.linear import CapacityError, CodeError, LinearCode
+from gridfec.linear import MAX_CODE_LENGTH, CapacityError, CodeError, LinearCode
 
 BV = BitVector.from_string
 BM = BitMatrix.from_strings
@@ -420,36 +420,47 @@ class TestWeightDistribution:
             c = random_code(rng, max_n=20)
             if max(c.k, c.n - c.k) > 16:
                 continue
-            assert list(c.weight_distribution()) == direct_weights(c)
+            assert list(c.weight_distribution) == direct_weights(c)
             sides.add(c.k <= c.n - c.k)
         assert sides == {True, False}  # both the direct walk and MacWilliams ran
 
     def test_counts_sum_to_the_code_size(self):
         rng = random.Random(1104)
         for c in family_codes() + [random_code(rng, max_n=20) for _ in range(40)]:
-            a = c.weight_distribution()
+            a = c.weight_distribution
             assert len(a) == c.n + 1 and a[0] == 1
             assert sum(a) == 1 << c.k
 
     def test_golay_golden(self):
         expected = {0: 1, 7: 253, 8: 506, 11: 1288, 12: 1288, 15: 506, 16: 253, 23: 1}
-        assert golay_code().weight_distribution() == tuple(expected.get(j, 0) for j in range(24))
+        assert golay_code().weight_distribution == tuple(expected.get(j, 0) for j in range(24))
 
     def test_zero_code_and_full_space(self):
         zero = LinearCode.from_parity(BitMatrix.identity(4))
-        assert zero.weight_distribution() == (1, 0, 0, 0, 0)
+        assert zero.weight_distribution == (1, 0, 0, 0, 0)
         full = LinearCode.from_generator(BitMatrix.identity(4))
-        assert full.weight_distribution() == (1, 4, 6, 4, 1)
+        assert full.weight_distribution == (1, 4, 6, 4, 1)
 
     def test_dual_side_past_the_message_guard(self):
         from math import comb
 
         from gridfec.families import hamming, parity_check
         pc = parity_check(26)  # k = 25 > MAX_MESSAGE_BITS; the dual has 2 words
-        assert pc.weight_distribution() == tuple(comb(26, j) * (1 - j % 2) for j in range(27))
+        assert pc.weight_distribution == tuple(comb(26, j) * (1 - j % 2) for j in range(27))
         assert pc.min_distance() == 2
         assert hamming(5).min_distance() == 3  # k = 26, n - k = 5
 
+
+    def test_transform_guard_on_length(self):
+        # One check row: the dual has 2 words, but the transform's n + 1
+        # integers of up to n bits each grow with n squared.
+        edge = LinearCode.from_parity(BM(["1" * MAX_CODE_LENGTH]))
+        assert edge.min_distance() == 2
+        wide = LinearCode.from_parity(BM(["1" * (MAX_CODE_LENGTH + 1)]))
+        with pytest.raises(CapacityError, match="transform guard"):
+            wide.min_distance()
+        long_repetition = LinearCode.from_generator(BM(["1" * 2000]))  # k = 1: no transform
+        assert long_repetition.min_distance() == 2000
 
 class TestLeaderBits:
     def test_coset_table_is_a_view_of_the_leaders(self):
