@@ -1,12 +1,20 @@
 """Deterministic binary-symmetric-channel simulation and strategy trials.
 
-Randomness comes from an xorshift64* generator (shifts 12/25/27, multiplier
-0x2545F4914F6CDD1D) seeded through the splitmix64 finalizer, so corrupted
-outputs are bit-identical across runs and platforms.  The stream of cell
+Randomness comes from an xorshift64* generator (shifts 12/25/27, then the
+multiplication in `_flip_masks`) seeded through the splitmix64 finalizer, so
+corrupted outputs are bit-identical across runs and platforms.  The stream of cell
 (row, col) in copy `copy` of trial t is seeded by
 `derive_seed(master, t, row, col, copy)`, which adds each index to the running
 state and mixes, one index at a time; trial order is therefore irrelevant and
 trials are safely parallelizable.
+
+The streams are independent, so they are drawn side by side: one Python int
+holds a 128-bit slot per stream, the 64-bit state in bits 0-63 and a guard
+in bit 64, and each shift, mask and multiplication of the generator acts on
+every slot at once (SIMD within a register).  `run_trial` puts stream
+(t, i, j, c) of a block of trials in slot ((t * m + i) * n + j) * copies + c;
+`bsc_corrupt` is the same kernel with one slot.  The stream each cell sees,
+and so every simulated count, is that of the one-stream-at-a-time loop.
 
 Because the first fold sees only master + t, trial t of master seed s + 1
 draws exactly the streams of trial t + 1 of seed s: runs of N trials at seeds
@@ -16,14 +24,17 @@ independent at least their trial count apart.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .gf2 import BitVector, Gf2Error, mat_vec_bits
 from .grid import GridCode, GridCodeword, arbitrate, vote
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_SLOT_BYTES = 16  # a 64-bit value, guard bit 64, and room for a 128-bit product
+_BLOCK_SLOTS = 8192  # streams drawn per kernel call: 128 KiB per slot int
 
 STRATEGIES = ("per_cell_decode", "majority_vote", "simultaneous")
 
@@ -58,12 +69,16 @@ class TrialReport:
         return self.trials - self.decode_success
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 finalizer."""
-    z &= _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
+def _mix64(z: int, lanes: int = _M64) -> int:
+    """splitmix64 finalizer of a word, or of every slot of a slot int.
+
+    `lanes` is `_M64` for one word, or `_slots((_M64,), count)` to mix the
+    64-bit values of `count` slots at once.
+    """
+    z &= lanes
+    z = (z ^ z >> 30 & lanes) * 0xBF58476D1CE4E5B9 & lanes
+    z = (z ^ z >> 27 & lanes) * 0x94D049BB133111EB & lanes
+    return z ^ z >> 31 & lanes
 
 
 def _fold(state: int, index: int) -> int:
@@ -79,17 +94,80 @@ def derive_seed(master: int, *indices: int) -> int:
     return state
 
 
-def _flip_mask(seed: int, length: int, threshold: int) -> int:
-    """The xorshift64* stream of `seed` as a mask: bit i set iff draw i < threshold."""
-    state = _mix64(seed) or _GAMMA
-    mask = 0
-    for i in range(length):
-        state ^= state >> 12
-        state = (state ^ (state << 25)) & _M64
-        state ^= state >> 27
-        if (state * 0x2545F4914F6CDD1D) & _M64 < threshold:
-            mask |= 1 << i
-    return mask
+def _slots(pattern: Iterable[int], repeats: int) -> int:
+    """A slot int holding the words of `pattern`, one per slot, `repeats` times over."""
+    image = b"".join(w.to_bytes(_SLOT_BYTES, "little") for w in pattern)
+    return int.from_bytes(image * repeats, "little")
+
+
+def _flip_masks(seeds: int, lengths: Sequence[int], repeats: int, threshold: int) -> list[int]:
+    """The flip masks of many xorshift64* streams, all drawn at once.
+
+    Slot k of the slot int `seeds` holds a stream seed; with L = len(lengths),
+    mask k has bit d set iff draw d < lengths[k % L] of that stream is below
+    `threshold`, for k < L * repeats.  Every slot advances by the same
+    shifts, masks and one multiplication, so each mask is bit for bit the
+    scalar stream's.  A draw is at or above the threshold iff adding
+    2**64 - threshold carries into the slot's guard bit 64, so a clear guard
+    bit is a flip; at p = 1, where the threshold is 2**64, nothing carries.
+    """
+    slots = len(lengths) * repeats
+    ones = _slots((1,), slots)
+    lanes = ones * _M64
+    guard = ones << 64
+    bound = ones * ((1 << 64) - threshold)
+    s = _mix64(seeds, lanes)
+    # A zero state would stay zero: such a stream starts at _GAMMA instead.
+    zero = guard ^ (s + lanes) & guard
+    if zero:
+        s |= (zero >> 64) * _GAMMA
+    longest = max(lengths, default=0)
+    masks = [0] * slots
+    for base in range(0, longest, 128):
+        draws = min(128, longest - base)
+        kept = 0  # bit d of a slot: draw base + d did not flip
+        for d in range(draws):
+            s ^= s >> 12 & lanes
+            s ^= s << 25 & lanes
+            s ^= s >> 27 & lanes
+            above = (s * 0x2545F4914F6CDD1D & lanes) + bound & guard
+            kept |= above >> 64 - d if d < 64 else above << d - 64
+        # Only the draws each slot's length asks for.
+        wanted = _slots(((1 << min(max(n - base, 0), 128)) - 1 for n in lengths), repeats)
+        words = struct.unpack(f"<{2 * slots}Q", (wanted & ~kept).to_bytes(
+            _SLOT_BYTES * slots, "little"))
+        if draws > 64:
+            chunk = [lo | hi << 64 for lo, hi in zip(words[0::2], words[1::2])]
+        else:
+            chunk = words[0::2]
+        masks = [m | c << base for m, c in zip(masks, chunk)] if base else list(chunk)
+    return masks
+
+
+def _trial_masks(master: int, trials: range, m: int, lengths: Sequence[int], copies: int,
+                 threshold: int) -> list[int]:
+    """The flip masks of `trials` on an m-row grid with these column lengths.
+
+    Slot ((r * m + i) * n + j) * copies + c holds the stream of
+    derive_seed(master, trials[r], i, j, c), so its mask is that of
+    `bsc_corrupt` seeded by it.  The trial and row folds are scalar; the
+    column and copy folds run on all slots at once.
+    """
+    n = len(lengths)
+    width = n * copies
+    rows = len(trials) * m
+    prefixes = []
+    for t in trials:
+        trial_seed = _fold(master, t)
+        prefixes.extend(_fold(trial_seed, i).to_bytes(_SLOT_BYTES, "little") * width
+                        for i in range(m))
+    col_ramp = _slots((_GAMMA + j for j in range(n) for _ in range(copies)), rows)
+    copy_ramp = _slots((_GAMMA + c for _ in range(n) for c in range(copies)), rows)
+    lanes = _slots((_M64,), rows * width)
+    seeds = _mix64(int.from_bytes(b"".join(prefixes), "little") + col_ramp, lanes)
+    seeds = _mix64(seeds + copy_ramp, lanes)
+    return _flip_masks(seeds, [length for length in lengths for _ in range(copies)], rows,
+                       threshold)
 
 
 def _threshold(p: float) -> int:
@@ -99,7 +177,7 @@ def _threshold(p: float) -> int:
 
 def bsc_corrupt(cfg: ChannelConfig, x: BitVector) -> BitVector:
     """Flip each bit independently with probability p; fully seed-determined."""
-    mask = _flip_mask(cfg.seed, x.length, _threshold(cfg.flip_probability))
+    (mask,) = _flip_masks(cfg.seed, (x.length,), 1, _threshold(cfg.flip_probability))
     return BitVector(x.length, x.bits ^ mask)
 
 
@@ -121,8 +199,8 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
     where some received cell was a valid codeword other than the sent one;
     residual_bit_errors sums the bit errors left after decoding.
 
-    The seed prefix is folded once per trial, once per row and once per cell,
-    and each copy's flip mask is drawn from that cell prefix; the masks are
+    Trials are drawn in blocks of at most _BLOCK_SLOTS cell streams by
+    `_trial_masks`, so memory does not grow with `trials`; the masks are
     exactly those of `bsc_corrupt` seeded by `derive_seed(cfg.seed, t, i, j,
     copy)`, so the report is the same as with one derivation per cell.
     """
@@ -141,64 +219,56 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
         if any(c != first for row in sent.cells for c in row):
             raise ChannelError("majority_vote expects the same codeword in every cell")
 
-    lengths = grid.column_lengths()
-    sent_bits = [[c.bits for c in row] for row in sent.cells]
-    checks = [[code.h.row_words for code in row] for row in grid.cells]
-    threshold = _threshold(cfg.flip_probability)
     copies = 2 if strategy == "simultaneous" else 1
+    lengths = grid.column_lengths()
+    codes = [code for row in grid.cells for code in row]
+    # One entry per slot of a trial, in slot order (copy fastest).
+    checks = [code.h.row_words for code in codes for _ in range(copies)]
+    threshold = _threshold(cfg.flip_probability)
+    sent_bits = [c.bits for row in sent.cells for c in row]
     if strategy == "per_cell_decode":
         # Each cell's own coset table, built (or refused by its guard) before any trial.
-        tables = [[code.leader_bits for code in row] for row in grid.cells]
+        tables = [code.leader_bits for code in codes]
 
     successes = 0
     undetected = 0
     residual = 0
-    for t in range(trials):
-        trial_seed = _fold(cfg.seed, t)
-        cell_seeds = []
-        for i in range(grid.m):
-            row_seed = _fold(trial_seed, i)
-            cell_seeds.append([_fold(row_seed, j) for j in range(grid.n)])
-        # errors[copy][i][j] is the flip mask of cell (i, j) in that copy.
-        errors = [[[_flip_mask(_fold(seed, copy), lengths[j], threshold)
-                    for j, seed in enumerate(row)] for row in cell_seeds]
-                  for copy in range(copies)]
-
-        # The sent word is a codeword, so a received cell's syndrome is that of
-        # its flip mask, and an untouched cell (mask 0) needs none.
-        if strategy == "per_cell_decode":
-            # Decoding succeeds in a cell iff its coset leader is the error itself.
-            ok = True
-            hidden = False
-            for i, row in enumerate(errors[0]):
-                for j, e in enumerate(row):
+    block = max(1, _BLOCK_SLOTS // len(checks))
+    for start in range(0, trials, block):
+        masks = _trial_masks(cfg.seed, range(start, min(start + block, trials)), grid.m,
+                             lengths, copies, threshold)
+        for k in range(0, len(masks), len(checks)):
+            errors = masks[k:k + len(checks)]
+            # The sent word is a codeword, so a received cell's syndrome is that of
+            # its flip mask, and an untouched cell (mask 0) needs none.
+            if strategy == "per_cell_decode":
+                # Decoding succeeds in a cell iff its coset leader is the error itself.
+                ok = True
+                hidden = False
+                for e, h, table in zip(errors, checks, tables):
                     if e:
-                        syndrome = mat_vec_bits(checks[i][j], e)
+                        syndrome = mat_vec_bits(h, e)
                         hidden = hidden or not syndrome
-                        leader = tables[i][j][syndrome]
+                        leader = table[syndrome]
                         residual += (e ^ leader).bit_count()
                         ok = ok and e == leader
-        else:
-            # A nonzero error with a zero syndrome turns the cell into another codeword.
-            hidden = any(e and not mat_vec_bits(checks[i][j], e)
-                         for word in errors
-                         for i, row in enumerate(word) for j, e in enumerate(row))
-            if strategy == "majority_vote":
-                x = sent_bits[0][0]
-                winner = vote(grid.cells[0][0], [x ^ e for row in errors[0] for e in row])
-                ok = winner == x
-                residual += (winner ^ x).bit_count()
             else:
-                # A cell both copies agree on passes through; others are arbitrated.
-                ok = True
-                for i, (row_a, row_b) in enumerate(zip(*errors)):
-                    for j, (ea, eb) in enumerate(zip(row_a, row_b)):
-                        x = sent_bits[i][j]
-                        e = ea if ea == eb else arbitrate(grid.cells[i][j], x ^ ea, x ^ eb) ^ x
+                # A nonzero error with a zero syndrome turns the cell into another codeword.
+                hidden = any(e and not mat_vec_bits(h, e) for e, h in zip(errors, checks))
+                if strategy == "majority_vote":
+                    x = sent_bits[0]
+                    winner = vote(codes[0], [x ^ e for e in errors])
+                    ok = winner == x
+                    residual += (winner ^ x).bit_count()
+                else:
+                    # A cell both copies agree on passes through; others are arbitrated.
+                    ok = True
+                    for code, x, ea, eb in zip(codes, sent_bits, errors[0::2], errors[1::2]):
+                        e = ea if ea == eb else arbitrate(code, x ^ ea, x ^ eb) ^ x
                         residual += e.bit_count()
                         ok = ok and not e
-        if hidden:
-            undetected += 1
-        if ok:
-            successes += 1
+            if hidden:
+                undetected += 1
+            if ok:
+                successes += 1
     return TrialReport(trials, successes, undetected, residual)

@@ -13,9 +13,10 @@ A composition spec is an object with a "shape" key ("row", "column" or
 "grid"); "cells" holds code specs (or names defined in an optional "codes"
 table): a list for row/column shapes, a rectangular array of arrays for
 grids.  Identical inline cell specs, in any key order, share one LinearCode.
-The family kinds are refused, before anything is built, when the code would
-be longer than MAX_CODE_LENGTH bits.  Words are '0'/'1' runs joined by
-'|', an absent grid cell the token '·'; the grid module reads and writes them.
+A code longer than MAX_CODE_LENGTH bits is refused before anything is built:
+a family kind by its size key, a parity or generator matrix by its row width.
+Words are '0'/'1' runs joined by '|', an absent grid cell the token '·'; the
+grid module reads and writes them.
 """
 
 from __future__ import annotations
@@ -120,6 +121,10 @@ def _matrix(doc: dict, key: str, where: str) -> BitMatrix:
     if (not isinstance(rows, list) or not rows
             or any(not isinstance(r, str) for r in rows)):
         raise SpecError(f"{where or 'spec'}: '{key}' must be a non-empty array of bit strings")
+    width = max(map(len, rows))
+    if width > MAX_CODE_LENGTH:
+        raise SpecError(f"{where or 'spec'}: {doc['kind']} rows of {width} bits exceed "
+                        f"the limit of {MAX_CODE_LENGTH} bits")
     try:
         return BitMatrix.from_strings(rows)
     except Gf2Error as exc:

@@ -1,8 +1,10 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from gridfec.channel import (
+    _BLOCK_SLOTS,
     ChannelConfig,
     ChannelError,
     TrialReport,
@@ -187,6 +189,22 @@ class TestRunTrial:
         report = run_trial(grid, sent, "simultaneous", ChannelConfig(0.05, 5), 200)
         assert report.trials == 200
         assert report.decode_success > 150
+
+    def test_memory_does_not_grow_with_trials(self):
+        # Trials are drawn a block of _BLOCK_SLOTS streams at a time.
+        grid, sent = hamming_3x3()
+        block = _BLOCK_SLOTS // 9
+        run_trial(grid, sent, "per_cell_decode", ChannelConfig(0.05, 2), 1)  # coset tables
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run_trial(grid, sent, "per_cell_decode", ChannelConfig(0.05, 2), trials)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10 * block) <= 2 * peak(block)
 
     def test_vote_on_small_uniform_grid(self):
         # p = 0.03 keeps the per-cell corruption probability near 0.19, so

@@ -27,9 +27,9 @@ from typing import Optional
 
 import pytest
 
-from gridfec.channel import ChannelConfig, TrialReport, run_trial
+from gridfec.channel import _BLOCK_SLOTS, ChannelConfig, TrialReport, bsc_corrupt, run_trial
 from gridfec.families import hamming
-from gridfec.gf2 import BitVector, distance
+from gridfec.gf2 import BitMatrix, BitVector, distance
 from gridfec.grid import GridCode, GridCodeword
 from gridfec.linear import LinearCode
 from gridfec.specio import parse_spec
@@ -205,13 +205,29 @@ def _mixed_from_stream():
     return grid, grid.from_row_stream(word.to_row_stream())
 
 
+def _wide_and_narrow():
+    """Columns of 7 and 130 bits: the wide streams run past one 128-draw chunk.
+
+    Column 1 holds a (130, 127) code whose check columns cycle through the
+    seven nonzero syndromes, so each row has the three checks of hamming(3).
+    """
+    wide = LinearCode.from_parity(BitMatrix.from_strings(
+        ["".join(str((c % 7 + 1) >> r & 1) for c in range(130)) for r in range(3)]))
+    grid = GridCode([[hamming(3), wide], [hamming(3), wide]])
+    sent = grid.encode([[BV("1011"), BitVector(127, 0x5A5A << 100 | 0xC3)],
+                        [BV("0110"), BitVector(127, (1 << 127) - 1)]])
+    return grid, sent
+
+
 CASES = {
     "per_cell_uniform": ("per_cell_decode", _uniform_hamming),
     "per_cell_distinct": ("per_cell_decode", _distinct_hamming),
     "per_cell_mixed": ("per_cell_decode", _mixed_from_stream),
+    "per_cell_wide": ("per_cell_decode", _wide_and_narrow),
     "vote_uniform": ("majority_vote", _uniform_hamming),
     "simultaneous_uniform": ("simultaneous", _uniform_hamming),
     "simultaneous_mixed": ("simultaneous", _mixed_from_stream),
+    "simultaneous_wide": ("simultaneous", _wide_and_narrow),
 }
 
 
@@ -230,3 +246,51 @@ def test_reference_reproduces_pinned_stream():
     # The frozen generator itself still gives the pinned output of test_channel.
     out = reference_bsc_corrupt(ChannelConfig(0.5, seed=12345), BitVector.zeros(16))
     assert out.bits == 0xD2D6
+
+
+def _unshift(z: int, shift: int) -> int:
+    """The inverse of z ^ (z >> shift) on 64-bit words."""
+    x = z
+    for _ in range(64 // shift):
+        x = z ^ x >> shift
+    return x
+
+
+def _unmix64(z: int) -> int:
+    """The inverse of reference_mix64: each multiplier and xorshift undone, last first."""
+    z = _unshift(z, 31)
+    z = _unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & _M64, 27)
+    return _unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _M64, 30)
+
+
+def test_zero_stream_state_matches():
+    # A stream seeded by 0 would stay at state 0, so it starts at _GAMMA.  Fold
+    # the indices (3, 1, 2, 1) back out of seed 0 to reach that case in a trial.
+    master = 0
+    for index in (1, 2, 1, 3):
+        master = (_unmix64(master) - _GAMMA - index) & _M64
+    assert master == 0x51B3C76517F2881
+    assert reference_derive_seed(master, 3, 1, 2, 1) == 0
+    code = hamming(3)
+    grid = GridCode.uniform(code, 2, 3)
+    sent = GridCodeword.from_rows([[code.encode(BV("1011"))] * 3] * 2)
+    cfg = ChannelConfig(0.3, master)
+    assert run_trial(grid, sent, "per_cell_decode", cfg, 5) == \
+        reference_run_trial(grid, sent, "per_cell_decode", cfg, 5)
+    # mix64(0) == 0, so bsc_corrupt at seed 0 takes the same branch.
+    cfg = ChannelConfig(0.3, 0)
+    zeros = BitVector.zeros(200)
+    assert bsc_corrupt(cfg, zeros) == reference_bsc_corrupt(cfg, zeros)
+
+
+# A 2x2 grid of single copies: four streams per trial.
+BLOCK_TRIALS = _BLOCK_SLOTS // 4
+
+
+@pytest.mark.parametrize("trials", [BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1,
+                                    2 * BLOCK_TRIALS + 1])
+def test_block_boundaries(trials):
+    grid, sent = _uniform_hamming()
+    cfg = ChannelConfig(0.2, 1 << 63)
+    assert run_trial(grid, sent, "per_cell_decode", cfg, trials) == \
+        reference_run_trial(grid, sent, "per_cell_decode", cfg, trials)

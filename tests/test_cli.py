@@ -115,15 +115,6 @@ class TestCodeCommands:
         assert rc == 0
         assert "min distance: 3\n" in out
 
-    def test_info_skips_a_wide_inline_code(self, capsys, tmp_path):
-        # One inline check row 100,000 bits wide: n - k = 1, but n is past the
-        # transform guard, so nothing of size n squared is built.
-        spec = tmp_path / "wide.json"
-        spec.write_text(json.dumps({"kind": "parity", "rows": ["1" * 100_000]}))
-        rc, out = run(capsys, "code", "info", "--spec", str(spec))
-        assert rc == 0
-        assert "min distance: skipped (code too large to enumerate)\n" in out
-
     def test_validation_error_exits_two(self, capsys):
         rc = main(["code", "encode", "--spec", fx("ex_1_2_1.json"), "--message", "11"])
         assert rc == 2
@@ -158,6 +149,14 @@ REFUSALS = {
     "grid_encode_short_message_file": (
         ["grid", "encode", "--spec", fx("hamming3_grid.json"), "--messages-file", "msgs.txt"],
         {"msgs.txt": "1010|0110|1111\n0001|1110|1011\n"}),
+    # One inline row a bit past MAX_CODE_LENGTH, refused before any matrix is
+    # built: 100,000 bits would take `code encode` to about 1.2 GB.
+    "code_encode_on_a_wide_inline_row": (
+        ["code", "encode", "--spec", "wide.json", "--message", "0"],
+        {"wide.json": json.dumps({"kind": "parity", "rows": ["1" * 1025]})}),
+    "code_info_on_a_wide_inline_row": (
+        ["code", "info", "--spec", "wide.json"],
+        {"wide.json": json.dumps({"kind": "generator", "rows": ["1" * 100_000]})}),
 }
 
 
