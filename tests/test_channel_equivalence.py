@@ -248,6 +248,15 @@ def test_reference_reproduces_pinned_stream():
     assert out.bits == 0xD2D6
 
 
+@pytest.mark.parametrize("p", [0.05, 0.5])
+@pytest.mark.parametrize("length", [129, 257, 1000])
+def test_multi_chunk_stream(length, p):
+    # 2, 3 and 8 chunks of 128 draws, so the chunks of one stream are joined.
+    cfg = ChannelConfig(p, seed=0xC0FFEE + length)
+    x = BitVector(length, int("10" * length, 2) >> length)
+    assert bsc_corrupt(cfg, x) == reference_bsc_corrupt(cfg, x)
+
+
 def _unshift(z: int, shift: int) -> int:
     """The inverse of z ^ (z >> shift) on 64-bit words."""
     x = z

@@ -137,6 +137,11 @@ REFUSALS = {
         ["grid", "decode", "--spec", fx("ex_3_1_8.json"), "--stream-file", "recv.txt"],
         {"recv.txt": "1011|11011\n"}),
     "super_dual_on_column_composition": (["super", "dual", "--spec", fx("ex_3_2_10.json")], {}),
+    "sim_run_on_row_composition": (
+        ["sim", "run", "--spec", fx("ex_3_1_8.json"), "--fill", "1011", "--p", "0.1",
+         "--trials", "1", "--strategy", "per_cell_decode"], {}),
+    "code_encode_on_grid_spec": (
+        ["code", "encode", "--spec", fx("hamming3_grid.json"), "--message", "1010"], {}),
     "grid_mask_with_only_first": (
         ["grid", "mask", "--spec", fx("hamming3.json"), "--stream-file", "recv.txt",
          "--first", "1"],

@@ -325,6 +325,10 @@ class TestRowFamilies:
         with pytest.raises(CompositionError):
             row_family("cyclic", [(7, _poly("1011")), (7, _poly("11"))])
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(CompositionError, match="^unknown row family kind 'golay'$"):
+            row_family("golay", [3, 3])
+
 
 class TestColumnConstruction:
     def test_worked_cardinality(self):
@@ -411,6 +415,18 @@ class TestColumnFamilies:
 
     def test_parity_column(self):
         assert col_family("parity", (4, 3)).cardinality() == 512
+
+    def test_cyclic_column(self):
+        cc = col_family("cyclic", [(7, _poly("1011")), (7, _poly("1101"))])
+        assert isinstance(cc, SuperColumnCode)
+        assert cc.length == 7
+        assert all(c.is_cyclic() and c.k == 4 for c in cc.components)
+        assert cc.components[0].h != cc.components[1].h
+        assert cc.cardinality() == 256
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(CompositionError, match="^unknown column family kind 'golay'$"):
+            col_family("golay", (3, 2))
 
     def test_mixed_column_rate(self):
         h4 = BM(["1001000", "0110100", "1010010", "1110001"])
