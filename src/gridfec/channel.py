@@ -122,7 +122,7 @@ def _flip_masks(seeds: int, lengths: Sequence[int], repeats: int, threshold: int
     if zero:
         s |= (zero >> 64) * _GAMMA
     longest = max(lengths, default=0)
-    masks = [0] * slots
+    images = []  # per chunk of 128 draws, every slot's 16 mask bytes
     for base in range(0, longest, 128):
         draws = min(128, longest - base)
         kept = 0  # bit d of a slot: draw base + d did not flip
@@ -134,14 +134,15 @@ def _flip_masks(seeds: int, lengths: Sequence[int], repeats: int, threshold: int
             kept |= above >> 64 - d if d < 64 else above << d - 64
         # Only the draws each slot's length asks for.
         wanted = _slots(((1 << min(max(n - base, 0), 128)) - 1 for n in lengths), repeats)
-        words = struct.unpack(f"<{2 * slots}Q", (wanted & ~kept).to_bytes(
-            _SLOT_BYTES * slots, "little"))
-        if draws > 64:
-            chunk = [lo | hi << 64 for lo, hi in zip(words[0::2], words[1::2])]
-        else:
-            chunk = words[0::2]
-        masks = [m | c << base for m, c in zip(masks, chunk)] if base else list(chunk)
-    return masks
+        images.append((wanted & ~kept).to_bytes(_SLOT_BYTES * slots, "little"))
+    if len(images) != 1:
+        # A slot's mask is its chunks in draw order, joined once.
+        return [int.from_bytes(b"".join(image[k:k + _SLOT_BYTES] for image in images), "little")
+                for k in range(0, _SLOT_BYTES * slots, _SLOT_BYTES)]
+    words = struct.unpack(f"<{2 * slots}Q", images[0])
+    if longest > 64:
+        return [lo | hi << 64 for lo, hi in zip(words[0::2], words[1::2])]
+    return list(words[0::2])
 
 
 def _trial_masks(master: int, trials: range, m: int, lengths: Sequence[int], copies: int,
@@ -153,7 +154,14 @@ def _trial_masks(master: int, trials: range, m: int, lengths: Sequence[int], cop
     `bsc_corrupt` seeded by it.  The trial and row folds are scalar; the
     column and copy folds run on all slots at once.
     """
-    n = len(lengths)
+    seeds = _trial_seeds(master, trials, m, len(lengths), copies)
+    return _flip_masks(seeds, [length for length in lengths for _ in range(copies)],
+                       len(trials) * m, threshold)
+
+
+def _trial_seeds(master: int, trials: range, m: int, n: int, copies: int) -> int:
+    """The slot int of `_trial_masks`' stream seeds; its block-sized temporaries
+    are freed on return, before the draw."""
     width = n * copies
     rows = len(trials) * m
     prefixes = []
@@ -165,9 +173,7 @@ def _trial_masks(master: int, trials: range, m: int, lengths: Sequence[int], cop
     copy_ramp = _slots((_GAMMA + c for _ in range(n) for c in range(copies)), rows)
     lanes = _slots((_M64,), rows * width)
     seeds = _mix64(int.from_bytes(b"".join(prefixes), "little") + col_ramp, lanes)
-    seeds = _mix64(seeds + copy_ramp, lanes)
-    return _flip_masks(seeds, [length for length in lengths for _ in range(copies)], rows,
-                       threshold)
+    return _mix64(seeds + copy_ramp, lanes)
 
 
 def _threshold(p: float) -> int:

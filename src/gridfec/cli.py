@@ -44,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args.need(parse_spec(args.spec.read_text())), args)
     except (SpecError, CodeError, ChannelError, Gf2Error,
             ApproxDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -65,12 +65,18 @@ def _build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--by", choices=("row", "col"), default="row",
                         help="whether the stream lists rows or columns")
 
+    def verbs(name: str, help: str, need):
+        """A verb group; `main` hands its verbs the spec's code through `need`."""
+        group = sub.add_parser(name, help=help)
+        group.set_defaults(need=need)
+        return group.add_subparsers(required=True)
+
     def verb(group, name: str, func, help: str, parent=spec) -> argparse.ArgumentParser:
         p = group.add_parser(name, help=help, parents=[parent])
         p.set_defaults(func=func)
         return p
 
-    code = sub.add_parser("code", help="single linear code operations").add_subparsers(required=True)
+    code = verbs("code", "single linear code operations", _expect_linear)
     verb(code, "info", _code_info, "print code parameters")
     p = verb(code, "encode", _code_encode, "encode a message")
     p.add_argument("--message", required=True, help="message bits, length k")
@@ -78,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True, help="received bits, length n")
     p.add_argument("--strategy", choices=("coset", "approx"), default="coset")
 
-    sup = sub.add_parser("super", help="row/column composition operations").add_subparsers(required=True)
+    sup = verbs("super", "row/column composition operations", _expect_super)
     verb(sup, "new", _super_new, "validate a composition and print a summary")
     p = verb(sup, "encode", _super_encode, "encode per-component messages")
     p.add_argument("--messages", required=True, help="'|'-separated messages")
@@ -87,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verb(sup, "rate", _super_rate, "print the transmission rate")
     verb(sup, "dual", _super_dual, "print the componentwise dual")
 
-    grid = sub.add_parser("grid", help="grid code operations").add_subparsers(required=True)
+    grid = verbs("grid", "grid code operations", _expect_grid)
     p = verb(grid, "encode", _grid_encode, "encode a message grid to a row stream")
     p.add_argument("--messages-file", required=True, type=Path,
                    help="one '|'-separated message row per line")
@@ -109,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--last", type=int)
     p.add_argument("--stencil", help="shipped stencil name: t, k or cross")
 
-    sim = sub.add_parser("sim", help="channel simulation").add_subparsers(required=True)
+    sim = verbs("sim", "channel simulation", _expect_grid)
     p = verb(sim, "run", _sim_run, "run Monte-Carlo trials of a decoding strategy")
     p.add_argument("--fill", help="codeword repeated in every cell")
     p.add_argument("--stream-file", type=Path, help="row stream of the sent grid word")
@@ -118,10 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strategy", required=True, choices=STRATEGIES)
     return parser
-
-
-def _load(args) -> AnyCode:
-    return parse_spec(args.spec.read_text())
 
 
 def _expect_linear(code: AnyCode) -> LinearCode:
@@ -162,8 +164,7 @@ def _read_stream(args, grid: GridCode) -> GridCodeword:
 # -- code ----------------------------------------------------------------------
 
 
-def _code_info(args) -> int:
-    c = _expect_linear(_load(args))
+def _code_info(c: LinearCode, args) -> int:
     print(f"(n, k) = ({c.n}, {c.k})")
     print(f"check symbols: {c.n - c.k}")
     _print_rate(c.k, c.n)
@@ -179,14 +180,12 @@ def _code_info(args) -> int:
     return 0
 
 
-def _code_encode(args) -> int:
-    c = _expect_linear(_load(args))
+def _code_encode(c: LinearCode, args) -> int:
     print(c.encode(BitVector.from_string(args.message)))
     return 0
 
 
-def _code_decode(args) -> int:
-    c = _expect_linear(_load(args))
+def _code_decode(c: LinearCode, args) -> int:
     y = BitVector.from_string(args.word)
     if args.strategy == "approx":
         word = approx_decode(c, y)
@@ -201,8 +200,7 @@ def _code_decode(args) -> int:
 # -- super ----------------------------------------------------------------------
 
 
-def _super_new(args) -> int:
-    sc = _expect_super(_load(args))
+def _super_new(sc: SuperRowCode | SuperColumnCode, args) -> int:
     shape = "row" if isinstance(sc, SuperRowCode) else "column"
     print(f"{shape} composition of {len(sc)} components")
     for i, c in enumerate(sc.components):
@@ -212,14 +210,12 @@ def _super_new(args) -> int:
     return 0
 
 
-def _super_encode(args) -> int:
-    sc = _expect_super(_load(args))
+def _super_encode(sc: SuperRowCode | SuperColumnCode, args) -> int:
     print(sc.encode(to_super_codeword(parse_super_word(args.messages)).segments))
     return 0
 
 
-def _super_decode(args) -> int:
-    sc = _expect_super(_load(args))
+def _super_decode(sc: SuperRowCode | SuperColumnCode, args) -> int:
     received = to_super_codeword(parse_super_word(args.word))
     word, err = sc.decode(received)
     print(f"codeword: {word}")
@@ -227,14 +223,12 @@ def _super_decode(args) -> int:
     return DETECTED_ERROR if word != received else 0
 
 
-def _super_rate(args) -> int:
-    sc = _expect_super(_load(args))
+def _super_rate(sc: SuperRowCode | SuperColumnCode, args) -> int:
     _print_rate(sum(c.k for c in sc.components), sum(c.n for c in sc.components))
     return 0
 
 
-def _super_dual(args) -> int:
-    sc = _expect_super(_load(args))
+def _super_dual(sc: SuperRowCode | SuperColumnCode, args) -> int:
     if not isinstance(sc, SuperRowCode):
         raise SpecError("dual is defined for row compositions")
     dual = sc.dual()
@@ -250,8 +244,7 @@ def _super_dual(args) -> int:
 # -- grid -------------------------------------------------------------------------
 
 
-def _grid_encode(args) -> int:
-    grid = _expect_grid(_load(args))
+def _grid_encode(grid: GridCode, args) -> int:
     messages = [to_super_codeword(parse_super_word(ln)).segments
                 for ln in _read_lines(args.messages_file)]
     for line in grid.encode(messages).to_row_stream():
@@ -259,8 +252,7 @@ def _grid_encode(args) -> int:
     return 0
 
 
-def _grid_decode(args) -> int:
-    grid = _expect_grid(_load(args))
+def _grid_decode(grid: GridCode, args) -> int:
     decoded, errors = grid.decode(_read_stream(args, grid))
     for line in decoded.to_row_stream():
         print(line)
@@ -269,8 +261,7 @@ def _grid_decode(args) -> int:
     return DETECTED_ERROR if total else 0
 
 
-def _grid_stream(args) -> int:
-    grid = _expect_grid(_load(args))
+def _grid_stream(grid: GridCode, args) -> int:
     word = _read_stream(args, grid)
     lines = word.to_col_stream() if args.to == "col" else word.to_row_stream()
     for line in lines:
@@ -278,15 +269,13 @@ def _grid_stream(args) -> int:
     return 0
 
 
-def _grid_vote(args) -> int:
-    grid = _expect_grid(_load(args))
+def _grid_vote(grid: GridCode, args) -> int:
     received = _read_stream(args, grid)
     print(grid.majority_vote(received))
     return 0
 
 
-def _grid_reconcile(args) -> int:
-    grid = _expect_grid(_load(args))
+def _grid_reconcile(grid: GridCode, args) -> int:
     row_word = grid.from_row_stream(_read_lines(args.row_file))
     col_word = grid.from_col_stream(_read_lines(args.col_file))
     result = grid.simultaneous_reconcile(row_word, col_word)
@@ -299,8 +288,7 @@ def _grid_reconcile(args) -> int:
     return 0
 
 
-def _grid_chart(args) -> int:
-    grid = _expect_grid(_load(args))
+def _grid_chart(grid: GridCode, args) -> int:
     word = _read_stream(args, grid)
     chart = TrueChart.from_text(args.chart_file.read_text())
     for cell in apply_chart(word, chart):
@@ -308,8 +296,7 @@ def _grid_chart(args) -> int:
     return 0
 
 
-def _grid_mask(args) -> int:
-    grid = _expect_grid(_load(args))
+def _grid_mask(grid: GridCode, args) -> int:
     word = _read_stream(args, grid)
     if args.stencil:
         mask = load_stencil(args.stencil)
@@ -325,8 +312,7 @@ def _grid_mask(args) -> int:
 # -- sim -------------------------------------------------------------------------
 
 
-def _sim_run(args) -> int:
-    grid = _expect_grid(_load(args))
+def _sim_run(grid: GridCode, args) -> int:
     if args.fill is not None:
         cell = BitVector.from_string(args.fill)
         sent = GridCodeword.from_rows([[cell] * grid.n for _ in range(grid.m)])

@@ -258,8 +258,7 @@ def vote(code: LinearCode, values: list[int]) -> int:
         counts = Counter(v ^ table[mat_vec_bits(rows, v)] for v in values)
         top = max(counts.values())
     tied = [v for v, c in counts.items() if c == top]
-    return min(tied, key=lambda v: (mat_vec_bits(rows, v).bit_count(),
-                                    format(v, f"0{code.n}b")[::-1]))
+    return min(tied, key=lambda v: (mat_vec_bits(rows, v).bit_count(), str(BitVector(code.n, v))))
 
 
 def arbitrate(code: LinearCode, a: int, b: int) -> int:

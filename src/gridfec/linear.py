@@ -33,7 +33,7 @@ Syndrome = BitVector
 # Enumeration guards; every instance in scope sits far below these.
 MAX_MESSAGE_BITS = 24
 MAX_CHECK_BITS = 20
-MAX_CODE_LENGTH = 1024  # longest code weighed through its dual; families are capped here too
+MAX_CODE_LENGTH = 1024  # longest code weighed through its dual; specio refuses longer spec codes
 
 
 def _span(rows: list[int]) -> Iterator[int]:
@@ -113,13 +113,7 @@ class LinearCode:
         g = self.generator()
         if a.length != self.k:
             raise CodeError(f"message length {a.length} does not match k={self.k}")
-        acc = 0
-        bits = a.bits
-        while bits:
-            i = (bits & -bits).bit_length() - 1
-            acc ^= g.row_words[i]
-            bits &= bits - 1
-        return BitVector(self.n, acc)
+        return mat_mul(BitMatrix.from_rows([a]), g).row(0)
 
     def syndrome(self, y: BitVector) -> Syndrome:
         if y.length != self.n:

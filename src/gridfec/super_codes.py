@@ -16,7 +16,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .families import CyclicSpec, cyclic_from_poly, hamming, parity_check, repetition
-from .gf2 import BitMatrix, BitVector, SuperMatrix
+from .gf2 import BitMatrix, BitVector, SuperMatrix, super_transpose, transpose
 from .grid import CompositionError as CompositionError  # re-exported
 from .grid import GridCode, GridCodeword, format_super_word
 from .linear import CodeError, LinearCode, Syndrome
@@ -185,9 +185,23 @@ def _side_by_side(mats: Sequence[BitMatrix]) -> SuperMatrix:
 
 def _stacked(mats: Sequence[BitMatrix]) -> SuperMatrix:
     """[M_1 / ... / M_n] for blocks of equal width, cut between blocks."""
-    *cuts, total = accumulate(m.rows for m in mats)
-    words = tuple(w for m in mats for w in m.row_words)
-    return SuperMatrix(BitMatrix(total, mats[0].cols, words), row_cuts=tuple(cuts))
+    return super_transpose(_side_by_side([transpose(m) for m in mats]))
+
+
+# One constructor per family kind, applied to each component's parameter.
+_FAMILIES = {
+    "repetition": repetition,
+    "parity": parity_check,
+    "hamming": hamming,
+    "cyclic": lambda p: cyclic_from_poly(p if isinstance(p, CyclicSpec) else CyclicSpec(*p)),
+}
+
+
+def _family(kind: str, params, shape: str) -> list[LinearCode]:
+    """One code of the family `kind` per component parameter."""
+    if kind not in _FAMILIES:
+        raise CompositionError(f"unknown {shape} family kind {kind!r}")
+    return [_FAMILIES[kind](p) for p in params]
 
 
 def row_family(kind: str, params) -> SuperRowCode:
@@ -198,14 +212,8 @@ def row_family(kind: str, params) -> SuperRowCode:
     """
     if kind == "repetition":
         length, count = params
-        return SuperRowCode([repetition(length) for _ in range(count)])
-    if kind == "parity":
-        return SuperRowCode([parity_check(t) for t in params])
-    if kind == "hamming":
-        return SuperRowCode([hamming(m) for m in params])
-    if kind == "cyclic":
-        return SuperRowCode(_cyclic_codes(params))
-    raise CompositionError(f"unknown row family kind {kind!r}")
+        params = [length] * count
+    return SuperRowCode(_family(kind, params, "row"))
 
 
 def col_family(kind: str, params) -> SuperColumnCode:
@@ -214,21 +222,7 @@ def col_family(kind: str, params) -> SuperColumnCode:
     kinds: repetition (length, count), parity (length, count),
     hamming (m, count), cyclic (list of (n, g) CyclicSpecs of equal n).
     """
-    if kind == "repetition":
-        length, count = params
-        return SuperColumnCode([repetition(length) for _ in range(count)])
-    if kind == "parity":
-        length, count = params
-        return SuperColumnCode([parity_check(length) for _ in range(count)])
-    if kind == "hamming":
-        m, count = params
-        return SuperColumnCode([hamming(m) for _ in range(count)])
-    if kind == "cyclic":
-        return SuperColumnCode(_cyclic_codes(params))
-    raise CompositionError(f"unknown column family kind {kind!r}")
-
-
-def _cyclic_codes(params) -> list[LinearCode]:
-    """One cyclic code per CyclicSpec or (n, g) pair."""
-    return [cyclic_from_poly(p if isinstance(p, CyclicSpec) else CyclicSpec(*p))
-            for p in params]
+    if kind in _FAMILIES and kind != "cyclic":
+        size, count = params
+        params = [size] * count
+    return SuperColumnCode(_family(kind, params, "column"))
