@@ -25,6 +25,7 @@ independent at least their trial count apart.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -81,16 +82,11 @@ def _mix64(z: int, lanes: int = _M64) -> int:
     return z ^ z >> 31 & lanes
 
 
-def _fold(state: int, index: int) -> int:
-    """One step of the seed derivation: add the index, then mix."""
-    return _mix64((state + _GAMMA + index) & _M64)
-
-
 def derive_seed(master: int, *indices: int) -> int:
-    """Fold trial/cell indices into the master seed, one mix step each."""
+    """Fold trial/cell indices into the master seed: add each index, then mix."""
     state = master & _M64
     for v in indices:
-        state = _fold(state, v)
+        state = _mix64(state + _GAMMA + v)
     return state
 
 
@@ -151,28 +147,51 @@ def _trial_masks(master: int, trials: range, m: int, lengths: Sequence[int], cop
 
     Slot ((r * m + i) * n + j) * copies + c holds the stream of
     derive_seed(master, trials[r], i, j, c), so its mask is that of
-    `bsc_corrupt` seeded by it.  The trial and row folds are scalar; the
-    column and copy folds run on all slots at once.
+    `bsc_corrupt` seeded by it.  Every fold runs on slot ints: the trial
+    fold on one slot per trial, the row fold on one per (trial, row), and
+    the column and copy folds on all slots at once.
     """
     seeds = _trial_seeds(master, trials, m, len(lengths), copies)
     return _flip_masks(seeds, [length for length in lengths for _ in range(copies)],
                        len(trials) * m, threshold)
 
 
+def _low_words(values: int, count: int) -> array:
+    """Bits 0-63 of the first `count` slots of a slot int, as 8-byte words of
+    its little-endian image."""
+    return array("Q", values.to_bytes(_SLOT_BYTES * count, "little"))[0::2]
+
+
+def _repeat_slots(words: array, repeats: int) -> int:
+    """The slot int holding each word of `words` in `repeats` slots in a row.
+
+    The array copies each word's 8 bytes as they are, so the words must be
+    bytes of a little-endian image, whatever the platform's byte order; the
+    high 8 bytes of every slot stay zero.
+    """
+    out = array("Q", bytes(_SLOT_BYTES * len(words) * repeats))
+    step = 2 * repeats
+    for k in range(0, step, 2):
+        out[k::step] = words
+    return int.from_bytes(out.tobytes(), "little")
+
+
 def _trial_seeds(master: int, trials: range, m: int, n: int, copies: int) -> int:
     """The slot int of `_trial_masks`' stream seeds; its block-sized temporaries
     are freed on return, before the draw."""
+    count = len(trials)
+    rows = count * m
     width = n * copies
-    rows = len(trials) * m
-    prefixes = []
-    for t in trials:
-        trial_seed = _fold(master, t)
-        prefixes.extend(_fold(trial_seed, i).to_bytes(_SLOT_BYTES, "little") * width
-                        for i in range(m))
+    # Each fold adds its index to the state, then mixes; master + _GAMMA + t < 2**66.
+    trial_ramp = _repeat_slots(array("Q", struct.pack(f"<{count}Q", *trials)), 1)
+    trial_seeds = _mix64(trial_ramp + _slots((master + _GAMMA,), count), _slots((_M64,), count))
+    row_ramp = _slots((_GAMMA + i for i in range(m)), count)
+    row_seeds = _mix64(_repeat_slots(_low_words(trial_seeds, count), m) + row_ramp,
+                       _slots((_M64,), rows))
     col_ramp = _slots((_GAMMA + j for j in range(n) for _ in range(copies)), rows)
     copy_ramp = _slots((_GAMMA + c for _ in range(n) for c in range(copies)), rows)
     lanes = _slots((_M64,), rows * width)
-    seeds = _mix64(int.from_bytes(b"".join(prefixes), "little") + col_ramp, lanes)
+    seeds = _mix64(_repeat_slots(_low_words(row_seeds, rows), width) + col_ramp, lanes)
     return _mix64(seeds + copy_ramp, lanes)
 
 
@@ -197,6 +216,20 @@ def inject_errors(x: BitVector, positions: Iterable[int]) -> BitVector:
     return x.with_flipped(seen)
 
 
+class _Syndromes(dict):
+    """Syndromes by error mask under one check matrix, each computed once."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Sequence[int]) -> None:
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, error: int) -> int:
+        syndrome = self[error] = mat_vec_bits(self.rows, error)
+        return syndrome
+
+
 def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
               cfg: ChannelConfig, trials: int) -> TrialReport:
     """Corrupt every cell per trial, apply the strategy, tally recoveries.
@@ -209,6 +242,11 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
     `_trial_masks`, so memory does not grow with `trials`; the masks are
     exactly those of `bsc_corrupt` seeded by `derive_seed(cfg.seed, t, i, j,
     copy)`, so the report is the same as with one derivation per cell.
+
+    Each distinct check matrix gets one syndrome memo per block, which the
+    per-cell decode and the undetected-error check read, so a mask that
+    recurs within the block has its syndrome computed once.  The memos are
+    dropped with the block's masks, so they too stay within the block size.
     """
     if strategy not in STRATEGIES:
         raise ChannelError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
@@ -228,8 +266,10 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
     copies = 2 if strategy == "simultaneous" else 1
     lengths = grid.column_lengths()
     codes = [code for row in grid.cells for code in row]
-    # One entry per slot of a trial, in slot order (copy fastest).
-    checks = [code.h.row_words for code in codes for _ in range(copies)]
+    # One syndrome memo per distinct check matrix, and the memo of each slot of
+    # a trial, in slot order (copy fastest).
+    memos = {code.h.row_words: _Syndromes(code.h.row_words) for code in codes}
+    syndromes = [memos[code.h.row_words] for code in codes for _ in range(copies)]
     threshold = _threshold(cfg.flip_probability)
     sent_bits = [c.bits for row in sent.cells for c in row]
     if strategy == "per_cell_decode":
@@ -239,28 +279,30 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
     successes = 0
     undetected = 0
     residual = 0
-    block = max(1, _BLOCK_SLOTS // len(checks))
+    slots = len(syndromes)
+    block = max(1, _BLOCK_SLOTS // slots)
     for start in range(0, trials, block):
         masks = _trial_masks(cfg.seed, range(start, min(start + block, trials)), grid.m,
                              lengths, copies, threshold)
-        for k in range(0, len(masks), len(checks)):
-            errors = masks[k:k + len(checks)]
+        for k in range(0, len(masks), slots):
+            errors = masks[k:k + slots]
             # The sent word is a codeword, so a received cell's syndrome is that of
             # its flip mask, and an untouched cell (mask 0) needs none.
             if strategy == "per_cell_decode":
                 # Decoding succeeds in a cell iff its coset leader is the error itself.
                 ok = True
                 hidden = False
-                for e, h, table in zip(errors, checks, tables):
+                for e, syndrome_of, table in zip(errors, syndromes, tables):
                     if e:
-                        syndrome = mat_vec_bits(h, e)
+                        syndrome = syndrome_of[e]
                         hidden = hidden or not syndrome
                         leader = table[syndrome]
                         residual += (e ^ leader).bit_count()
                         ok = ok and e == leader
             else:
                 # A nonzero error with a zero syndrome turns the cell into another codeword.
-                hidden = any(e and not mat_vec_bits(h, e) for e, h in zip(errors, checks))
+                hidden = any(e and not syndrome_of[e]
+                             for e, syndrome_of in zip(errors, syndromes))
                 if strategy == "majority_vote":
                     x = sent_bits[0]
                     winner = vote(codes[0], [x ^ e for e in errors])
@@ -277,4 +319,9 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
                 undetected += 1
             if ok:
                 successes += 1
+        # The memos keep the block's masks as keys: empty them and free the masks
+        # before the next block is drawn.
+        for memo in memos.values():
+            memo.clear()
+        del masks, errors
     return TrialReport(trials, successes, undetected, residual)

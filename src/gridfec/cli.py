@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a decode-style command detected (and
-corrected or arbitrated) errors, 2 on usage or validation problems.
+corrected or arbitrated) errors, 2 on usage or validation problems, 141
+(the shell's status for SIGPIPE) when standard output was closed early,
+as by `| head`.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,6 +39,7 @@ from .super_codes import SuperColumnCode, SuperRowCode
 
 DETECTED_ERROR = 1
 USAGE_ERROR = 2
+BROKEN_PIPE = 141
 
 _WORD_LIST_CAP = 12  # max k for which codeword sets are printed in full
 
@@ -44,7 +48,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args.need(parse_spec(args.spec.read_text())), args)
+        status = args.func(args.need(parse_spec(args.spec.read_text())), args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # The reader is gone: send what is left to devnull so that the flush at
+        # exit does not fail again, and print no error.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except (SpecError, CodeError, ChannelError, Gf2Error,
             ApproxDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from gridfec.channel import (
     inject_errors,
     run_trial,
 )
-from gridfec.families import hamming
+from gridfec.families import hamming, parity_check
 from gridfec.gf2 import BitVector, Gf2Error
 from gridfec.grid import GridCode, GridCodeword
 from gridfec.specio import parse_spec
@@ -205,6 +205,25 @@ class TestRunTrial:
                 tracemalloc.stop()
 
         assert peak(10 * block) <= 2 * peak(block)
+
+    def test_syndrome_memos_do_not_outlive_their_block(self):
+        # At p = 0.5 the 40-bit masks almost never repeat, so each block's
+        # memo holds about a block of masks; one kept across blocks would grow.
+        code = parity_check(40)
+        grid = GridCode.uniform(code, 1, 2)
+        sent = GridCodeword.from_rows([[BitVector.zeros(40)] * 2])
+        block = _BLOCK_SLOTS // 2
+        run_trial(grid, sent, "per_cell_decode", ChannelConfig(0.5, 3), 1)  # coset tables
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run_trial(grid, sent, "per_cell_decode", ChannelConfig(0.5, 3), trials)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8 * block) <= 1.5 * peak(block)
 
     def test_vote_on_small_uniform_grid(self):
         # p = 0.03 keeps the per-cell corruption probability near 0.19, so

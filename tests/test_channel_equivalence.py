@@ -27,7 +27,15 @@ from typing import Optional
 
 import pytest
 
-from gridfec.channel import _BLOCK_SLOTS, ChannelConfig, TrialReport, bsc_corrupt, run_trial
+from gridfec.channel import (
+    _BLOCK_SLOTS,
+    ChannelConfig,
+    TrialReport,
+    _threshold,
+    _trial_masks,
+    bsc_corrupt,
+    run_trial,
+)
 from gridfec.families import hamming
 from gridfec.gf2 import BitMatrix, BitVector, distance
 from gridfec.grid import GridCode, GridCodeword
@@ -303,3 +311,22 @@ def test_block_boundaries(trials):
     cfg = ChannelConfig(0.2, 1 << 63)
     assert run_trial(grid, sent, "per_cell_decode", cfg, trials) == \
         reference_run_trial(grid, sent, "per_cell_decode", cfg, trials)
+
+
+@pytest.mark.parametrize("master", [0, (1 << 64) - 1])
+@pytest.mark.parametrize("first", [1, (1 << 40) - 1])
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("n", [1, 17])
+@pytest.mark.parametrize("m", [1, 3, 16])
+def test_trial_masks_match_reference_streams(m, n, copies, first, master):
+    # Every fold of the kernel against the frozen per-stream derivation, with
+    # trial ranges that start past 0, one of them near 2**40.
+    trials = range(first, first + 3)
+    lengths = [1 + 5 * j % 13 for j in range(n)]
+    masks = _trial_masks(master, trials, m, lengths, copies, _threshold(0.3))
+    expected = [
+        reference_bsc_corrupt(ChannelConfig(0.3, reference_derive_seed(master, t, i, j, c)),
+                              BitVector.zeros(length)).bits
+        for t in trials for i in range(m) for j, length in enumerate(lengths)
+        for c in range(copies)]
+    assert masks == expected

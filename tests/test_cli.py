@@ -3,11 +3,14 @@
 import json
 import os
 import random
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import gridfec
 from gridfec.channel import ChannelConfig, run_trial
 from gridfec.cli import _build_parser, main
 from gridfec.gf2 import BitVector
@@ -175,6 +178,35 @@ class TestRefusals:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+# (I_12 | 1^12): k = 12, so `code info` lists all 4096 codewords, about 100 KB.
+WIDE_LISTING = {"kind": "generator",
+                "rows": [format(1 << 11 - i, "012b") + "1" * 12 for i in range(12)]}
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("spec", [None, WIDE_LISTING], ids=["buffered", "past_the_pipe"])
+    def test_exit_141_and_no_error_line(self, tmp_path, spec):
+        # A pipe whose reader is closed: every write to it raises BrokenPipeError,
+        # either from a print past the pipe buffer or from main's final flush.
+        path = tmp_path / "spec.json"
+        if spec is None:
+            path = Path(fx("ex_1_2_1.json"))
+        else:
+            path.write_text(json.dumps(spec))
+        read, write = os.pipe()
+        os.close(read)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(gridfec.__file__).parents[1])
+        try:
+            proc = subprocess.run([sys.executable, "-m", "gridfec.cli", "code", "info",
+                                   "--spec", str(path)],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
 
 class TestSuperCommands:
