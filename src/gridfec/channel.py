@@ -244,9 +244,13 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
     copy)`, so the report is the same as with one derivation per cell.
 
     Each distinct check matrix gets one syndrome memo per block, which the
-    per-cell decode and the undetected-error check read, so a mask that
-    recurs within the block has its syndrome computed once.  The memos are
-    dropped with the block's masks, so they too stay within the block size.
+    per-cell decode, the undetected-error check and the simultaneous
+    strategy read, so a mask that recurs within the block has its syndrome
+    computed once.  The simultaneous strategy skips untouched cells, reads
+    one syndrome where both copies agree and passes both copies' syndromes
+    to `arbitrate` where they differ, on the error masks themselves.  The
+    memos are emptied with the block's masks, so they too stay within the
+    block size.
     """
     if strategy not in STRATEGIES:
         raise ChannelError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
@@ -266,12 +270,11 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
     copies = 2 if strategy == "simultaneous" else 1
     lengths = grid.column_lengths()
     codes = [code for row in grid.cells for code in row]
-    # One syndrome memo per distinct check matrix, and the memo of each slot of
-    # a trial, in slot order (copy fastest).
-    memos = {code.h.row_words: _Syndromes(code.h.row_words) for code in codes}
-    syndromes = [memos[code.h.row_words] for code in codes for _ in range(copies)]
+    # One syndrome memo per distinct check matrix, and the memo of each cell.
+    keys = [code.h.row_words for code in codes]
+    memos = {rows: _Syndromes(rows) for rows in dict.fromkeys(keys)}
+    syndromes = [memos[rows] for rows in keys]
     threshold = _threshold(cfg.flip_probability)
-    sent_bits = [c.bits for row in sent.cells for c in row]
     if strategy == "per_cell_decode":
         # Each cell's own coset table, built (or refused by its guard) before any trial.
         tables = [code.leader_bits for code in codes]
@@ -279,7 +282,7 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
     successes = 0
     undetected = 0
     residual = 0
-    slots = len(syndromes)
+    slots = len(codes) * copies
     block = max(1, _BLOCK_SLOTS // slots)
     for start in range(0, trials, block):
         masks = _trial_masks(cfg.seed, range(start, min(start + block, trials)), grid.m,
@@ -287,7 +290,8 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
         for k in range(0, len(masks), slots):
             errors = masks[k:k + slots]
             # The sent word is a codeword, so a received cell's syndrome is that of
-            # its flip mask, and an untouched cell (mask 0) needs none.
+            # its flip mask, and an untouched cell (mask 0) needs none.  A nonzero
+            # error with a zero syndrome turns the cell into another codeword.
             if strategy == "per_cell_decode":
                 # Decoding succeeds in a cell iff its coset leader is the error itself.
                 ok = True
@@ -299,22 +303,33 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
                         leader = table[syndrome]
                         residual += (e ^ leader).bit_count()
                         ok = ok and e == leader
-            else:
-                # A nonzero error with a zero syndrome turns the cell into another codeword.
+            elif strategy == "majority_vote":
                 hidden = any(e and not syndrome_of[e]
                              for e, syndrome_of in zip(errors, syndromes))
-                if strategy == "majority_vote":
-                    x = sent_bits[0]
-                    winner = vote(codes[0], [x ^ e for e in errors])
-                    ok = winner == x
-                    residual += (winner ^ x).bit_count()
-                else:
-                    # A cell both copies agree on passes through; others are arbitrated.
-                    ok = True
-                    for code, x, ea, eb in zip(codes, sent_bits, errors[0::2], errors[1::2]):
-                        e = ea if ea == eb else arbitrate(code, x ^ ea, x ^ eb) ^ x
-                        residual += e.bit_count()
-                        ok = ok and not e
+                x = first.bits
+                winner = vote(codes[0], [x ^ e for e in errors])
+                ok = winner == x
+                residual += (winner ^ x).bit_count()
+            else:
+                # Each cell's row and column copy errors: a cell both copies agree
+                # on passes through, and the others are arbitrated on the errors,
+                # which gives the error kept.
+                ok = True
+                hidden = False
+                for code, syndrome_of, ea, eb in zip(codes, syndromes, errors[0::2],
+                                                     errors[1::2]):
+                    if ea == eb:
+                        if ea:
+                            hidden = hidden or not syndrome_of[ea]
+                            residual += ea.bit_count()
+                            ok = False
+                        continue
+                    sa = ea and syndrome_of[ea]
+                    sb = eb and syndrome_of[eb]
+                    hidden = hidden or (ea and not sa) or (eb and not sb)
+                    e = arbitrate(code, ea, eb, sa, sb)
+                    residual += e.bit_count()
+                    ok = ok and not e
             if hidden:
                 undetected += 1
             if ok:

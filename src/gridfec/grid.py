@@ -12,7 +12,9 @@ the one writer and reader of '|'-joined lines (absent cell: MISSING_CELL).
 The strategy rules `vote` and `arbitrate` run on cell bits (plain ints);
 `GridCode.majority_vote` and `simultaneous_reconcile(row_word, col_word)` are
 their edge on grid words (shape checks, absent cells), and the channel's trial
-loop calls the rules directly.
+loop calls the rules directly.  `arbitrate` takes both copies' syndromes as
+arguments: `simultaneous_reconcile` computes them, and the trial loop reads
+them from its per-block syndrome memo.
 """
 
 from __future__ import annotations
@@ -141,7 +143,10 @@ class GridCode:
         return self._cellwise(word, LinearCode.syndrome)
 
     def is_member(self, word: GridCodeword) -> bool:
-        return all(s is None or s.bits == 0 for row in self.syndrome(word) for s in row)
+        """True when every present cell has a zero syndrome."""
+        self._check_shape(word)
+        return all(x is None or not mat_vec_bits(c.h.row_words, x.bits)
+                   for codes, row in zip(self.cells, word.cells) for c, x in zip(codes, row))
 
     def decode(self, word: GridCodeword) -> tuple[GridCodeword, GridCodeword]:
         """Per-cell coset decoding: (codeword, error); absent cells stay absent."""
@@ -204,8 +209,9 @@ class GridCode:
         """Merge a row-transmitted and a column-transmitted copy cell by cell.
 
         Agreeing cells pass through; where one copy is absent the other is
-        kept; other disagreements are settled by `arbitrate` (a copy with a
-        zero syndrome, else the lighter coset leader; tie: the row copy).
+        kept; other disagreements are settled by `arbitrate` on the two
+        copies' syndromes (a copy with a zero syndrome, else the lighter coset
+        leader; tie: the row copy).
         GridError on a misshapen copy.
         """
         self._check_shape(row_word)
@@ -222,7 +228,9 @@ class GridCode:
                     continue
                 disagreements.append((i, j))
                 if a is not None and b is not None:
-                    a = BitVector(a.length, arbitrate(self.cells[i][j], a.bits, b.bits))
+                    code = self.cells[i][j]
+                    sa, sb = (mat_vec_bits(code.h.row_words, c.bits) for c in (a, b))
+                    a = BitVector(a.length, arbitrate(code, a.bits, b.bits, sa, sb))
                 row.append(b if a is None else a)
             out.append(tuple(row))
         return ReconcileResult(GridCodeword(tuple(out)), tuple(disagreements))
@@ -261,18 +269,19 @@ def vote(code: LinearCode, values: list[int]) -> int:
     return min(tied, key=lambda v: (mat_vec_bits(rows, v).bit_count(), str(BitVector(code.n, v))))
 
 
-def arbitrate(code: LinearCode, a: int, b: int) -> int:
-    """The cell kept from a disagreeing row copy `a` and column copy `b` (as bits).
+def arbitrate(code: LinearCode, a: int, b: int, sa: int, sb: int) -> int:
+    """The cell kept from a disagreeing row copy `a` and column copy `b` (as bits),
+    given their syndromes `sa` and `sb`.
 
     A copy with a zero syndrome wins, the row copy first, with no coset table
     built; otherwise both are coset-decoded and the lighter leader wins, a tie
-    going to the row copy.
+    going to the row copy.  The caller supplies the syndromes:
+    `simultaneous_reconcile` computes them, and the channel's trial loop reads
+    them from its syndrome memo.  Adding a codeword to both copies adds it to
+    the result, so the rule also maps two error masks to the error kept.
     """
-    rows = code.h.row_words
-    sa = mat_vec_bits(rows, a)
     if not sa:
         return a
-    sb = mat_vec_bits(rows, b)
     if not sb:
         return b
     ea = code.leader_bits[sa]

@@ -3,18 +3,22 @@ from pathlib import Path
 
 import pytest
 
+import gridfec.channel
+import gridfec.grid
 from gridfec.channel import (
     _BLOCK_SLOTS,
     ChannelConfig,
     ChannelError,
     TrialReport,
+    _threshold,
+    _trial_masks,
     bsc_corrupt,
     derive_seed,
     inject_errors,
     run_trial,
 )
 from gridfec.families import hamming, parity_check
-from gridfec.gf2 import BitVector, Gf2Error
+from gridfec.gf2 import BitVector, Gf2Error, mat_vec_bits
 from gridfec.grid import GridCode, GridCodeword
 from gridfec.specio import parse_spec
 
@@ -224,6 +228,34 @@ class TestRunTrial:
                 tracemalloc.stop()
 
         assert peak(8 * block) <= 1.5 * peak(block)
+
+    def test_simultaneous_syndrome_budget(self, monkeypatch):
+        # One syndrome per present cell for membership, then at most one per
+        # distinct (check matrix, nonzero mask) pair of each block: arbitration
+        # reads both copies' syndromes from the block's memo.
+        grid, sent = mixed_331()
+        cfg = ChannelConfig(0.2, 9)
+        slots = 2 * grid.m * grid.n
+        block = _BLOCK_SLOTS // slots
+        trials = block + 40  # two blocks
+        # The check matrix of each slot of a trial, copy fastest.
+        matrices = [code.h.row_words for row in grid.cells for code in row for _ in range(2)]
+        budget = grid.m * grid.n
+        for start in range(0, trials, block):
+            masks = _trial_masks(cfg.seed, range(start, min(start + block, trials)), grid.m,
+                                 grid.column_lengths(), 2, _threshold(cfg.flip_probability))
+            budget += len({(matrices[k % slots], e) for k, e in enumerate(masks) if e})
+        calls = 0
+
+        def counted(rows, x):
+            nonlocal calls
+            calls += 1
+            return mat_vec_bits(rows, x)
+
+        for module in (gridfec.channel, gridfec.grid):
+            monkeypatch.setattr(module, "mat_vec_bits", counted)
+        run_trial(grid, sent, "simultaneous", cfg, trials)
+        assert calls <= budget
 
     def test_vote_on_small_uniform_grid(self):
         # p = 0.03 keeps the per-cell corruption probability near 0.19, so

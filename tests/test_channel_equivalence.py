@@ -38,7 +38,7 @@ from gridfec.channel import (
 )
 from gridfec.families import hamming
 from gridfec.gf2 import BitMatrix, BitVector, distance
-from gridfec.grid import GridCode, GridCodeword
+from gridfec.grid import GridCode, GridCodeword, arbitrate
 from gridfec.linear import LinearCode
 from gridfec.specio import parse_spec
 
@@ -330,3 +330,24 @@ def test_trial_masks_match_reference_streams(m, n, copies, first, master):
         for t in trials for i in range(m) for j, length in enumerate(lengths)
         for c in range(copies)]
     assert masks == expected
+
+
+@pytest.mark.parametrize("cell", [(i, j) for i in range(3) for j in range(2)])
+def test_arbitrate_matches_frozen_rule(cell):
+    # Every pair of distinct words of each Ex 3.3.1 cell code, with their
+    # syndromes passed in; adding a codeword to both copies adds it to the
+    # result, which is what lets the trial loop arbitrate on error masks.
+    code = parse_spec((FIXTURES / "ex_3_3_1.json").read_text()).cells[cell[0]][cell[1]]
+    n = code.n
+    assert n <= 7
+    words = [BitVector(n, v) for v in range(1 << n)]
+    syn = [code.syndrome(w).bits for w in words]
+    codewords = sorted(w.bits for w in code.codewords)
+    for a in range(1 << n):
+        for b in range(1 << n):
+            if a == b:
+                continue
+            kept = arbitrate(code, a, b, syn[a], syn[b])
+            assert kept == reference_arbitrate(code, words[a], words[b]).bits, (a, b)
+            x = codewords[(a + b) % len(codewords)]
+            assert arbitrate(code, a ^ x, b ^ x, syn[a], syn[b]) == kept ^ x, (a, b, x)
