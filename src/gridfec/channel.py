@@ -276,7 +276,8 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
     syndromes = [memos[rows] for rows in keys]
     threshold = _threshold(cfg.flip_probability)
     if strategy == "per_cell_decode":
-        # Each cell's own coset table, built (or refused by its guard) before any trial.
+        # Each cell's own coset leaders, walked lazily: a lookup walks no support
+        # heavier than its error, and past the walk's budget CapacityError ends the run.
         tables = [code.leader_bits for code in codes]
 
     successes = 0

@@ -273,8 +273,8 @@ def arbitrate(code: LinearCode, a: int, b: int, sa: int, sb: int) -> int:
     """The cell kept from a disagreeing row copy `a` and column copy `b` (as bits),
     given their syndromes `sa` and `sb`.
 
-    A copy with a zero syndrome wins, the row copy first, with no coset table
-    built; otherwise both are coset-decoded and the lighter leader wins, a tie
+    A copy with a zero syndrome wins, the row copy first, with no coset leader
+    looked up; otherwise both are coset-decoded and the lighter leader wins, a tie
     going to the row copy.  The caller supplies the syndromes:
     `simultaneous_reconcile` computes them, and the channel's trial loop reads
     them from its syndrome memo.  Adding a codeword to both copies adds it to

@@ -2,16 +2,18 @@
 
 A code is the null space of its parity-check matrix H.  Every value here is
 immutable after construction; expensive derivations (codewords, weight
-distribution, coset leaders) are computed once and cached.  Enumeration runs
-over plain ints, from the smaller of the code and its dual.
+distribution) are computed once and cached, and coset leaders are found
+lazily, by one support walk resumed as far as each lookup needs.  Enumeration
+runs over plain ints, from the smaller of the code and its dual.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
-from functools import cached_property, reduce
-from itertools import chain, combinations
+from functools import cached_property, partial, reduce
+from itertools import chain, combinations, islice
+from math import comb
 from operator import xor
 from typing import Iterator, Optional
 
@@ -32,7 +34,9 @@ Syndrome = BitVector
 
 # Enumeration guards; every instance in scope sits far below these.
 MAX_MESSAGE_BITS = 24
-MAX_CHECK_BITS = 20
+# Supports the coset-leader walk of one code may visit, over all its lookups;
+# repetition(21)'s full table takes 2^20 - 1.  Read at each lookup.
+COSET_WALK_BUDGET = 1 << 20
 MAX_CODE_LENGTH = 1024  # longest code weighed through its dual; specio refuses longer spec codes
 
 
@@ -51,7 +55,71 @@ class CodeError(ValueError):
 
 
 class CapacityError(CodeError):
-    """Raised when an enumeration guard (2^k codewords, 2^(n-k) cosets) is exceeded."""
+    """Raised when an enumeration guard (2^k codewords) or the coset-leader walk's
+    budget of supports is exceeded."""
+
+
+_WALK_CHUNK = 256  # supports walked per step, in C; a step stays within one weight
+
+
+class _Leaders(dict):
+    """Coset leaders by syndrome bits, found by one resumable support walk.
+
+    Supports are walked by ascending weight, each weight in ascending
+    lexicographic order, and the first support seen with each syndrome is its
+    leader, so ties go to the smallest support.  Looking up a syndrome not yet
+    found resumes the walk until it appears, recording every syndrome seen
+    first on the way; the walk never goes past the weight of the leader found,
+    so the lookup of syndrome(e) walks no support heavier than e.  The walk
+    visits at most COSET_WALK_BUDGET supports in all, then raises
+    CapacityError.  Iteration shows the leaders found so far, in walk order.
+    """
+
+    __slots__ = ("columns", "units", "cosets", "walked", "_weight", "_left", "_syndromes",
+                 "_supports")
+
+    def __init__(self, columns: tuple[int, ...], cosets: int) -> None:
+        super().__init__({0: 0})
+        self.columns = columns  # column i's syndrome
+        self.units = [1 << i for i in range(len(columns))]  # the support {i}
+        self.cosets = cosets
+        self.walked = 0  # supports visited so far, over all lookups
+        self._weight = 0
+        self._left = 0  # supports of the current weight not yet visited
+        self._syndromes: Iterator[int] = iter(())
+        self._supports: Iterator[int] = iter(())
+
+    def __missing__(self, syndrome: int) -> int:
+        self._walk(syndrome)
+        if syndrome not in self:
+            raise KeyError(syndrome)
+        return self[syndrome]
+
+    def complete(self) -> None:
+        """Run the walk to its end, so that every coset has its leader."""
+        if self.cosets - 1 > COSET_WALK_BUDGET:
+            raise CapacityError(f"{self.cosets} cosets exceed the coset-walk budget of "
+                                f"{COSET_WALK_BUDGET} supports")
+        self._walk(None)
+
+    def _walk(self, target: Optional[int]) -> None:
+        """Walk on until `target` has a leader or every coset has one."""
+        budget = COSET_WALK_BUDGET
+        while target not in self and len(self) < self.cosets:
+            if not self._left:
+                w = self._weight = self._weight + 1
+                self._left = comb(len(self.units), w)
+                self._syndromes = map(partial(reduce, xor), combinations(self.columns, w))
+                self._supports = map(sum, combinations(self.units, w))
+            take = min(self._left, _WALK_CHUNK, budget - self.walked)
+            if take <= 0:
+                raise CapacityError(
+                    f"the coset-leader walk passed its budget of {budget} supports")
+            # setdefault keeps the first support seen per syndrome.
+            deque(map(self.setdefault, islice(self._syndromes, take),
+                      islice(self._supports, take)), maxlen=0)
+            self.walked += take
+            self._left -= take
 
 
 class LinearCode:
@@ -214,30 +282,19 @@ class LinearCode:
 
         Ties between minimum-weight vectors are broken toward the smallest
         support (earliest flipped positions), matching the worked coset tables.
+        The map is lazy: a lookup walks supports only as far as its syndrome's
+        leader, so iterating it shows only the leaders found so far, and the
+        walk raises CapacityError past COSET_WALK_BUDGET supports.  Read it by
+        subscript; `in` and `.get` do not walk.
         """
-        m = self.n - self.k
-        if m > MAX_CHECK_BITS:
-            raise CapacityError(f"n-k={m} exceeds the coset guard of {MAX_CHECK_BITS}")
-        total = 1 << m
-        columns = transpose(self.h).row_words  # column i's syndrome
-        units = [1 << i for i in range(self.n)]
-        leaders = {0: 0}
-        # Supports by ascending weight, each weight in ascending lexicographic
-        # order, so the first vector seen per syndrome has the smallest support.
-        for w in range(1, self.n + 1):
-            if len(leaders) == total:
-                break
-            for cols, support in zip(combinations(columns, w), combinations(units, w)):
-                s = reduce(xor, cols)
-                if s not in leaders:
-                    leaders[s] = sum(support)
-                    if len(leaders) == total:
-                        break
-        return leaders
+        return _Leaders(transpose(self.h).row_words, 1 << (self.n - self.k))
 
     @cached_property
     def coset_table(self) -> dict[int, BitVector]:
-        """`leader_bits` with each leader as a BitVector, in the same order."""
+        """Every coset's leader as a BitVector, in walk order: the walk of
+        `leader_bits` run to its end.  CapacityError, before any walking,
+        when 2^(n-k) - 1 supports would exceed COSET_WALK_BUDGET."""
+        self.leader_bits.complete()
         return {s: BitVector(self.n, e) for s, e in self.leader_bits.items()}
 
     def decode(self, y: BitVector) -> tuple[BitVector, BitVector]:

@@ -198,7 +198,7 @@ class TestRunTrial:
         # Trials are drawn a block of _BLOCK_SLOTS streams at a time.
         grid, sent = hamming_3x3()
         block = _BLOCK_SLOTS // 9
-        run_trial(grid, sent, "per_cell_decode", ChannelConfig(0.05, 2), 1)  # coset tables
+        run_trial(grid, sent, "per_cell_decode", ChannelConfig(0.05, 2), 1)  # leader walk warm-up
 
         def peak(trials):
             tracemalloc.start()
@@ -217,7 +217,7 @@ class TestRunTrial:
         grid = GridCode.uniform(code, 1, 2)
         sent = GridCodeword.from_rows([[BitVector.zeros(40)] * 2])
         block = _BLOCK_SLOTS // 2
-        run_trial(grid, sent, "per_cell_decode", ChannelConfig(0.5, 3), 1)  # coset tables
+        run_trial(grid, sent, "per_cell_decode", ChannelConfig(0.5, 3), 1)  # leader walk warm-up
 
         def peak(trials):
             tracemalloc.start()

@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import gridfec
+from gridfec import linear
 from gridfec.channel import ChannelConfig, run_trial
 from gridfec.cli import _build_parser, main
 from gridfec.gf2 import BitVector
+from gridfec.grid import GridCode, GridCodeword
 from gridfec.specio import parse_spec
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -118,6 +120,14 @@ class TestCodeCommands:
         assert rc == 0
         assert "min distance: 3\n" in out
 
+    def test_decode_past_twenty_check_bits(self, capsys, tmp_path):
+        # repetition(30) has n - k = 29: one lookup walks only the weight-1 supports.
+        spec = tmp_path / "repetition30.json"
+        spec.write_text(json.dumps({"kind": "repetition", "n": 30}))
+        rc, out = run(capsys, "code", "decode", "--spec", str(spec), "--word", "1" * 29 + "0")
+        assert rc == 1
+        assert out.splitlines() == [f"codeword: {'1' * 30}", f"error: {'0' * 29}1"]
+
     def test_validation_error_exits_two(self, capsys):
         rc = main(["code", "encode", "--spec", fx("ex_1_2_1.json"), "--message", "11"])
         assert rc == 2
@@ -178,6 +188,35 @@ class TestRefusals:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestCosetWalkBudget:
+    """A coset-leader walk past its budget: exit 2, one error line, no output."""
+
+    def test_decode_exits_two(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(linear, "COSET_WALK_BUDGET", 9)
+        spec = tmp_path / "repetition9.json"
+        spec.write_text(json.dumps({"kind": "repetition", "n": 9}))
+        rc = main(["code", "decode", "--spec", str(spec), "--word", "110000000"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: the coset-leader walk passed its budget of 9 supports\n"
+
+    def test_sim_run_stops_mid_run(self, capsys, monkeypatch, tmp_path):
+        # Nine supports find the weight-1 leaders: seed 4's first six trials flip at
+        # most one bit each and finish, and its seventh, of weight 3, stops the run.
+        monkeypatch.setattr(linear, "COSET_WALK_BUDGET", 9)
+        spec = tmp_path / "repetition9.json"
+        spec.write_text(json.dumps({"kind": "repetition", "n": 9}))
+        grid = GridCode([[parse_spec(spec.read_text())]])
+        sent = GridCodeword.from_rows([[BitVector.zeros(9)]])
+        assert run_trial(grid, sent, "per_cell_decode", ChannelConfig(0.1, 4), 6).trials == 6
+        rc = main(["sim", "run", "--spec", str(spec), "--fill", "0" * 9, "--p", "0.1",
+                   "--trials", "200", "--seed", "4", "--strategy", "per_cell_decode"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
 
 # (I_12 | 1^12): k = 12, so `code info` lists all 4096 codewords, about 100 KB.

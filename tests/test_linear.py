@@ -1,10 +1,13 @@
 import random
+import time
 from fractions import Fraction
 from itertools import chain, combinations
+from math import comb
 
 import pytest
 
 from gridfec.gf2 import BitMatrix, BitVector, mat_mul, mat_vec, mat_vec_bits, transpose
+from gridfec import linear
 from gridfec.linear import MAX_CODE_LENGTH, CapacityError, CodeError, LinearCode
 
 BV = BitVector.from_string
@@ -473,6 +476,65 @@ class TestLeaderBits:
         word, err = c.decode(BV("11110"))
         assert (str(word), str(err)) == ("11010", "00100")
         assert "coset_table" not in vars(c)
+
+    def test_lazy_lookups_follow_the_frozen_walk(self):
+        rng = random.Random(1106)
+        for c in family_codes() + [random_code(rng, max_n=14) for _ in range(120)]:
+            frozen = frozen_coset_walk(c)
+            leaders = dict(frozen)
+            # One lookup on a fresh walk records no leader heavier than its error.
+            for _ in range(3):
+                e = rng.getrandbits(c.n)
+                s = mat_vec_bits(c.h.row_words, e)
+                fresh = LinearCode.from_parity(c.h)
+                assert fresh.leader_bits[s] == leaders[s]
+                assert max(map(int.bit_count, fresh.leader_bits.values())) <= e.bit_count()
+            syndromes = list(leaders)
+            rng.shuffle(syndromes)
+            for s in syndromes:
+                assert c.leader_bits[s] == leaders[s], c
+            assert [(s, e.bits) for s, e in c.coset_table.items()] == frozen, c
+
+
+def random_1024_1004() -> LinearCode:
+    rng = random.Random(1024)
+    return LinearCode.from_parity(
+        BitMatrix(20, 1024, tuple(rng.getrandbits(1024) for _ in range(20))))
+
+
+class TestCosetWalkBudget:
+    @pytest.mark.parametrize("weight", [1, 2])
+    def test_long_code_decodes_one_word_quickly(self, weight):
+        # n - k = 20: the full table is 2^20 cosets, but one lookup walks
+        # only the supports up to its error's weight.
+        code = random_1024_1004()
+        assert (code.n, code.k) == (1024, 1004)
+        positions = random.Random(weight).sample(range(1024), weight)
+        error = BitVector(1024, sum(1 << i for i in positions))
+        start = time.perf_counter()
+        word, err = code.decode(error)
+        assert time.perf_counter() - start < 1.0
+        assert word.bits == error.bits ^ err.bits and err.weight() <= weight
+        assert code.leader_bits.walked <= sum(comb(1024, w) for w in range(1, weight + 1))
+
+    def test_budget_counts_every_lookup(self, monkeypatch):
+        from gridfec.families import repetition
+        monkeypatch.setattr(linear, "COSET_WALK_BUDGET", 9)
+        code = repetition(9)
+        assert code.decode(BV("000000010"))[1] == BV("000000010")  # the 9 weight-1 supports
+        with pytest.raises(CapacityError, match="budget of 9 supports"):
+            code.decode(BV("110000000"))
+        assert code.leader_bits.walked == 9
+
+    def test_full_table_refused_before_walking(self, monkeypatch):
+        from gridfec.families import repetition
+        code = repetition(9)
+        monkeypatch.setattr(linear, "COSET_WALK_BUDGET", 254)  # 256 cosets need 255 supports
+        with pytest.raises(CapacityError, match="256 cosets"):
+            code.coset_table
+        assert code.leader_bits.walked == 0
+        monkeypatch.setattr(linear, "COSET_WALK_BUDGET", 255)
+        assert len(code.coset_table) == 256
 
 
 def golay_code() -> LinearCode:
