@@ -234,9 +234,11 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
               cfg: ChannelConfig, trials: int) -> TrialReport:
     """Corrupt every cell per trial, apply the strategy, tally recoveries.
 
-    decode_success counts exact recoveries; undetected_error counts trials
-    where some received cell was a valid codeword other than the sent one;
-    residual_bit_errors sums the bit errors left after decoding.
+    The strategy is chosen once, before any trial: it checks its input and
+    gives `outcome(errors) -> (bits_left, hidden)` over one trial's flip masks.
+    A trial succeeds iff it leaves no bit error; decode_success counts those
+    trials, residual_bit_errors sums the bits left, and undetected_error counts
+    trials where some received cell was a valid codeword other than the sent one.
 
     Trials are drawn in blocks of at most _BLOCK_SLOTS cell streams by
     `_trial_masks`, so memory does not grow with `trials`; the masks are
@@ -260,12 +262,6 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
         raise ChannelError("the sent word is not a member of the grid code")
     if any(c is None for row in sent.cells for c in row):
         raise ChannelError("simulation requires every cell present")
-    if strategy == "majority_vote":
-        if not grid.is_uniform():
-            raise ChannelError("majority_vote requires a uniform grid")
-        first = sent.cells[0][0]
-        if any(c != first for row in sent.cells for c in row):
-            raise ChannelError("majority_vote expects the same codeword in every cell")
 
     copies = 2 if strategy == "simultaneous" else 1
     lengths = grid.column_lengths()
@@ -274,70 +270,67 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
     keys = [code.h.row_words for code in codes]
     memos = {rows: _Syndromes(rows) for rows in dict.fromkeys(keys)}
     syndromes = [memos[rows] for rows in keys]
-    threshold = _threshold(cfg.flip_probability)
+    # The sent word is a codeword, so a received cell's syndrome is that of its
+    # flip mask, and an untouched cell (mask 0) needs none.  A nonzero error
+    # with a zero syndrome turns the cell into another codeword.
     if strategy == "per_cell_decode":
         # Each cell's own coset leaders, walked lazily: a lookup walks no support
         # heavier than its error, and past the walk's budget CapacityError ends the run.
         tables = [code.leader_bits for code in codes]
 
-    successes = 0
-    undetected = 0
-    residual = 0
+        def outcome(errors: list[int]) -> tuple[int, bool]:
+            # A cell keeps the bits where its error and its coset leader differ.
+            left = 0
+            hidden = False
+            for e, syndrome_of, table in zip(errors, syndromes, tables):
+                if e:
+                    syndrome = syndrome_of[e]
+                    hidden = hidden or not syndrome
+                    left += (e ^ table[syndrome]).bit_count()
+            return left, hidden
+    elif strategy == "majority_vote":
+        if not grid.is_uniform():
+            raise ChannelError("majority_vote requires a uniform grid")
+        x = sent.cells[0][0].bits
+        if any(c.bits != x for row in sent.cells for c in row):
+            raise ChannelError("majority_vote expects the same codeword in every cell")
+
+        def outcome(errors: list[int]) -> tuple[int, bool]:
+            hidden = any(e and not syndrome_of[e] for e, syndrome_of in zip(errors, syndromes))
+            return (vote(codes[0], [x ^ e for e in errors]) ^ x).bit_count(), hidden
+    else:
+        def outcome(errors: list[int]) -> tuple[int, bool]:
+            # A cell both copies' errors agree on passes through; the others are
+            # arbitrated on the errors, which gives the error kept.
+            left = 0
+            hidden = False
+            for code, syndrome_of, ea, eb in zip(codes, syndromes, errors[0::2], errors[1::2]):
+                if ea == eb:
+                    if ea:
+                        hidden = hidden or not syndrome_of[ea]
+                        left += ea.bit_count()
+                    continue
+                sa = ea and syndrome_of[ea]
+                sb = eb and syndrome_of[eb]
+                hidden = hidden or (ea and not sa) or (eb and not sb)
+                left += arbitrate(code, ea, eb, sa, sb).bit_count()
+            return left, hidden
+
+    successes = undetected = residual = 0
+    threshold = _threshold(cfg.flip_probability)
     slots = len(codes) * copies
     block = max(1, _BLOCK_SLOTS // slots)
     for start in range(0, trials, block):
         masks = _trial_masks(cfg.seed, range(start, min(start + block, trials)), grid.m,
                              lengths, copies, threshold)
         for k in range(0, len(masks), slots):
-            errors = masks[k:k + slots]
-            # The sent word is a codeword, so a received cell's syndrome is that of
-            # its flip mask, and an untouched cell (mask 0) needs none.  A nonzero
-            # error with a zero syndrome turns the cell into another codeword.
-            if strategy == "per_cell_decode":
-                # Decoding succeeds in a cell iff its coset leader is the error itself.
-                ok = True
-                hidden = False
-                for e, syndrome_of, table in zip(errors, syndromes, tables):
-                    if e:
-                        syndrome = syndrome_of[e]
-                        hidden = hidden or not syndrome
-                        leader = table[syndrome]
-                        residual += (e ^ leader).bit_count()
-                        ok = ok and e == leader
-            elif strategy == "majority_vote":
-                hidden = any(e and not syndrome_of[e]
-                             for e, syndrome_of in zip(errors, syndromes))
-                x = first.bits
-                winner = vote(codes[0], [x ^ e for e in errors])
-                ok = winner == x
-                residual += (winner ^ x).bit_count()
-            else:
-                # Each cell's row and column copy errors: a cell both copies agree
-                # on passes through, and the others are arbitrated on the errors,
-                # which gives the error kept.
-                ok = True
-                hidden = False
-                for code, syndrome_of, ea, eb in zip(codes, syndromes, errors[0::2],
-                                                     errors[1::2]):
-                    if ea == eb:
-                        if ea:
-                            hidden = hidden or not syndrome_of[ea]
-                            residual += ea.bit_count()
-                            ok = False
-                        continue
-                    sa = ea and syndrome_of[ea]
-                    sb = eb and syndrome_of[eb]
-                    hidden = hidden or (ea and not sa) or (eb and not sb)
-                    e = arbitrate(code, ea, eb, sa, sb)
-                    residual += e.bit_count()
-                    ok = ok and not e
-            if hidden:
-                undetected += 1
-            if ok:
-                successes += 1
+            left, hidden = outcome(masks[k:k + slots])
+            residual += left
+            successes += not left
+            undetected += hidden
         # The memos keep the block's masks as keys: empty them and free the masks
         # before the next block is drawn.
         for memo in memos.values():
             memo.clear()
-        del masks, errors
+        del masks
     return TrialReport(trials, successes, undetected, residual)

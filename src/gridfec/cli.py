@@ -48,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        status = args.func(args.need(parse_spec(args.spec.read_text())), args)
+        status = args.func(args.need(parse_spec(_read_text(args.spec))), args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return status
     except BrokenPipeError:
@@ -165,8 +165,16 @@ def _print_rate(k: int, n: int) -> None:
     print(f"rate: {k}/{n}" if rate.denominator == n else f"rate: {k}/{n} = {rate}")
 
 
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of an input file; a file that is not UTF-8 is a usage error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def _read_lines(path: Path) -> list[str]:
-    return [ln for ln in path.read_text().splitlines() if ln.strip()]
+    return [ln for ln in _read_text(path).splitlines() if ln.strip()]
 
 
 def _read_stream(args, grid: GridCode) -> GridCodeword:
@@ -219,8 +227,7 @@ def _super_new(sc: SuperRowCode | SuperColumnCode, args) -> int:
     for i, c in enumerate(sc.components):
         print(f"  component {i}: ({c.n}, {c.k})")
     print(f"cardinality: {sc.cardinality()}")
-    _print_rate(sum(c.k for c in sc.components), sum(c.n for c in sc.components))
-    return 0
+    return _super_rate(sc, args)
 
 
 def _super_encode(sc: SuperRowCode | SuperColumnCode, args) -> int:
@@ -303,7 +310,7 @@ def _grid_reconcile(grid: GridCode, args) -> int:
 
 def _grid_chart(grid: GridCode, args) -> int:
     word = _read_stream(args, grid)
-    chart = TrueChart.from_text(args.chart_file.read_text())
+    chart = TrueChart.from_text(_read_text(args.chart_file))
     for cell in apply_chart(word, chart):
         print(cell)
     return 0

@@ -244,11 +244,6 @@ def null_space_basis(a: BitMatrix) -> list[BitVector]:
     return basis
 
 
-def row_space_basis(a: BitMatrix) -> list[BitVector]:
-    rref, pivots = row_reduce(a)
-    return [rref.row(i) for i in range(len(pivots))]
-
-
 @dataclass(frozen=True, slots=True)
 class Gf2Poly:
     """Polynomial over GF(2); bit i of `coeffs` is the coefficient of x**i.

@@ -15,7 +15,7 @@ from functools import cached_property, partial, reduce
 from itertools import chain, combinations, islice
 from math import comb
 from operator import xor
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .gf2 import (
     BitMatrix,
@@ -25,7 +25,6 @@ from .gf2 import (
     mat_vec,
     null_space_basis,
     rank,
-    row_space_basis,
     transpose,
 )
 
@@ -40,7 +39,7 @@ COSET_WALK_BUDGET = 1 << 20
 MAX_CODE_LENGTH = 1024  # longest code weighed through its dual; specio refuses longer spec codes
 
 
-def _span(rows: list[int]) -> Iterator[int]:
+def _span(rows: Sequence[int]) -> Iterator[int]:
     """Every vector spanned by the independent `rows`, as ints: each vector of
     the first half's span XOR each of the second half's, so the walk runs in C."""
     low, high = [0], [0]
@@ -132,7 +131,10 @@ class LinearCode:
             raise CodeError("parity-check matrix needs at least as many columns as rows")
         self.h = h
         self.n = h.cols
-        self.k = h.cols - rank(h)
+        words = list(h.row_words)
+        # H's independent rows, reduced: a basis of the dual code, as ints.
+        self._dual_basis = tuple(words[:len(eliminate(words, range(h.cols)))])
+        self.k = h.cols - len(self._dual_basis)
         if g is not None:
             if g.cols != self.n:
                 raise CodeError(f"generator width {g.cols} does not match length {self.n}")
@@ -243,8 +245,8 @@ class LinearCode:
         if self.k > m and n > MAX_CODE_LENGTH:
             # The transform holds n + 1 integers of up to n bits each.
             raise CapacityError(f"n={n} exceeds the transform guard of {MAX_CODE_LENGTH}")
-        small = self._basis() if self.k <= m else row_space_basis(self.h)
-        found = Counter(map(int.bit_count, _span([v.bits for v in small])))
+        small = [v.bits for v in self._basis()] if self.k <= m else self._dual_basis
+        found = Counter(map(int.bit_count, _span(small)))
         if self.k <= m:
             return tuple(found[j] for j in range(n + 1))
         a = [0] * (n + 1)
@@ -306,12 +308,11 @@ class LinearCode:
 
     def dual(self) -> "LinearCode":
         """The orthogonal code: generator and parity-check roles swap."""
-        h_rows = row_space_basis(self.h)
         code_basis = self._basis()
         if not code_basis:
             # Dual of the zero code is the full space.
             return LinearCode.from_generator(BitMatrix.identity(self.n))
-        g_dual = BitMatrix.from_rows(h_rows) if h_rows else None
+        g_dual = BitMatrix(self.n - self.k, self.n, self._dual_basis) if self.k < self.n else None
         return LinearCode(BitMatrix.from_rows(code_basis), g_dual)
 
     def is_cyclic(self) -> bool:

@@ -42,7 +42,8 @@ def parse_spec(text: str) -> AnyCode:
     """Parse a JSON document into a code or composition."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Bad syntax, an integer past int's digit limit, or nesting past the recursion limit.
         raise SpecError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecError("spec document must be a JSON object")

@@ -7,6 +7,7 @@ import gridfec.channel
 import gridfec.grid
 from gridfec.channel import (
     _BLOCK_SLOTS,
+    STRATEGIES,
     ChannelConfig,
     ChannelError,
     TrialReport,
@@ -266,6 +267,17 @@ class TestRunTrial:
         sent = GridCodeword.from_rows([[word] * 3] * 3)
         report = run_trial(grid, sent, "majority_vote", ChannelConfig(0.03, 11), 200)
         assert report.decode_success >= 195
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_success_iff_no_bit_error_left(self, strategy):
+        # At p = 0.1 every strategy both succeeds and fails on some of these trials;
+        # seeds one apart draw disjoint single trials.
+        grid, sent = hamming_3x3()
+        reports = [run_trial(grid, sent, strategy, ChannelConfig(0.1, seed), 1)
+                   for seed in range(200)]
+        assert {r.decode_success for r in reports} == {0, 1}
+        for r in reports:
+            assert r.decode_success == int(r.residual_bit_errors == 0)
 
 
 # (strategy, seed, p) -> (decode_success, undetected_error, residual_bit_errors)

@@ -142,6 +142,7 @@ class TestCodeCommands:
         assert "Traceback" not in err
 
 
+NESTED = "[" * 100_000 + "]" * 100_000
 # Refusals: argv (a name in the file table is written under tmp_path) and files.
 REFUSALS = {
     "code_info_on_composition": (["code", "info", "--spec", fx("ex_3_1_8.json")], {}),
@@ -175,6 +176,19 @@ REFUSALS = {
     "code_info_on_a_wide_inline_row": (
         ["code", "info", "--spec", "wide.json"],
         {"wide.json": json.dumps({"kind": "generator", "rows": ["1" * 100_000]})}),
+    # 100,000 nested arrays pass json's recursion limit.
+    "code_info_on_deeply_nested_json": (
+        ["code", "info", "--spec", "nested.json"], {"nested.json": NESTED}),
+    "grid_encode_on_deeply_nested_json": (
+        ["grid", "encode", "--spec", "nested.json", "--messages-file", "msgs.txt"],
+        {"nested.json": NESTED, "msgs.txt": "1010\n"}),
+    "sim_run_on_deeply_nested_json": (
+        ["sim", "run", "--spec", "nested.json", "--fill", "1010101", "--p", "0.1",
+         "--trials", "1", "--strategy", "per_cell_decode"], {"nested.json": NESTED}),
+    # Past int's default limit of 4300 digits for a decimal string.
+    "code_info_on_a_5000_digit_integer": (
+        ["code", "info", "--spec", "big.json"],
+        {"big.json": '{"kind": "repetition", "n": %s}' % ("1" * 5000)}),
 }
 
 
@@ -188,6 +202,38 @@ class TestRefusals:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+# argv per input-file flag: "bad.txt" starts with byte 0xff, and the other
+# files are valid UTF-8 for the 3x3 hamming(3) grid.
+INPUT_FILE_FLAGS = {
+    "spec": ["code", "info", "--spec", "bad.txt"],
+    "stream_file": ["grid", "decode", "--spec", "spec.json", "--stream-file", "bad.txt"],
+    "sim_stream_file": ["sim", "run", "--spec", "spec.json", "--stream-file", "bad.txt",
+                        "--p", "0.1", "--trials", "1", "--strategy", "per_cell_decode"],
+    "messages_file": ["grid", "encode", "--spec", "spec.json", "--messages-file", "bad.txt"],
+    "row_file": ["grid", "reconcile", "--spec", "spec.json", "--row-file", "bad.txt",
+                 "--col-file", "stream.txt"],
+    "col_file": ["grid", "reconcile", "--spec", "spec.json", "--row-file", "stream.txt",
+                 "--col-file", "bad.txt"],
+    "chart_file": ["grid", "chart", "--spec", "spec.json", "--stream-file", "stream.txt",
+                   "--chart-file", "bad.txt"],
+}
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("argv", INPUT_FILE_FLAGS.values(), ids=list(INPUT_FILE_FLAGS))
+    def test_one_error_line_naming_the_file(self, capsys, tmp_path, argv):
+        stream = "1010101|1010101|1010101\n" * 3
+        (tmp_path / "spec.json").write_text((FIXTURES / "hamming3_grid.json").read_text())
+        (tmp_path / "stream.txt").write_text(stream)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff" + stream.encode())
+        rc = main([str(tmp_path / a) if a.endswith((".json", ".txt")) else a for a in argv])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: not UTF-8")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 class TestCosetWalkBudget:

@@ -90,6 +90,13 @@ class TestParseSpec:
         with pytest.raises(SpecError, match="invalid JSON"):
             parse_spec("{not json")
 
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                      '{"kind": "repetition", "n": %s}' % ("1" * 5000)],
+                             ids=["nested_past_the_recursion_limit", "integer_of_5000_digits"])
+    def test_json_the_parser_refuses(self, text):
+        with pytest.raises(SpecError, match="invalid JSON"):
+            parse_spec(text)
+
     def test_unknown_kind(self):
         with pytest.raises(SpecError, match="unknown code kind"):
             parse_spec('{"kind": "turbo"}')
