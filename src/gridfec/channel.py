@@ -131,14 +131,11 @@ def _flip_masks(seeds: int, lengths: Sequence[int], repeats: int, threshold: int
         # Only the draws each slot's length asks for.
         wanted = _slots(((1 << min(max(n - base, 0), 128)) - 1 for n in lengths), repeats)
         images.append((wanted & ~kept).to_bytes(_SLOT_BYTES * slots, "little"))
-    if len(images) != 1:
-        # A slot's mask is its chunks in draw order, joined once.
-        return [int.from_bytes(b"".join(image[k:k + _SLOT_BYTES] for image in images), "little")
-                for k in range(0, _SLOT_BYTES * slots, _SLOT_BYTES)]
-    words = struct.unpack(f"<{2 * slots}Q", images[0])
-    if longest > 64:
-        return [lo | hi << 64 for lo, hi in zip(words[0::2], words[1::2])]
-    return list(words[0::2])
+    if 0 < longest <= 64:
+        return list(struct.unpack(f"<{2 * slots}Q", images[0])[0::2])
+    # A slot's mask is its chunks in draw order, joined once.
+    return [int.from_bytes(b"".join(image[k:k + _SLOT_BYTES] for image in images), "little")
+            for k in range(0, _SLOT_BYTES * slots, _SLOT_BYTES)]
 
 
 def _trial_masks(master: int, trials: range, m: int, lengths: Sequence[int], copies: int,

@@ -42,10 +42,6 @@ class BitVector:
     def zeros(cls, n: int) -> "BitVector":
         return cls(n, 0)
 
-    @classmethod
-    def ones(cls, n: int) -> "BitVector":
-        return cls(n, (1 << n) - 1)
-
     def __len__(self) -> int:
         return self.length
 

@@ -9,11 +9,10 @@ runs over plain ints, from the smaller of the code and its dual.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import chain, combinations, islice
-from math import comb
+from itertools import chain, combinations
 from operator import xor
 from typing import Iterator, Optional, Sequence
 
@@ -58,35 +57,33 @@ class CapacityError(CodeError):
     budget of supports is exceeded."""
 
 
-_WALK_CHUNK = 256  # supports walked per step, in C; a step stays within one weight
-
-
 class _Leaders(dict):
     """Coset leaders by syndrome bits, found by one resumable support walk.
 
-    Supports are walked by ascending weight, each weight in ascending
-    lexicographic order, and the first support seen with each syndrome is its
-    leader, so ties go to the smallest support.  Looking up a syndrome not yet
-    found resumes the walk until it appears, recording every syndrome seen
-    first on the way; the walk never goes past the weight of the leader found,
-    so the lookup of syndrome(e) walks no support heavier than e.  The walk
-    visits at most COSET_WALK_BUDGET supports in all, then raises
-    CapacityError.  Iteration shows the leaders found so far, in walk order.
+    Supports are walked one at a time by ascending weight, each weight in
+    ascending lexicographic order, and the first support seen with each
+    syndrome is its leader, so ties go to the smallest support.  Looking up a
+    syndrome not yet found resumes the walk until it appears, recording every
+    syndrome seen first on the way; the lookup stops at its leader's support,
+    so the lookup of syndrome(e) walks no support heavier than e, and
+    `walked` is the exact number of supports visited.  The walk visits at
+    most COSET_WALK_BUDGET supports in all, then raises CapacityError.
+    Iteration shows the leaders found so far, in walk order.
     """
 
-    __slots__ = ("columns", "units", "cosets", "walked", "_weight", "_left", "_syndromes",
-                 "_supports")
+    __slots__ = ("cosets", "walked", "_pairs")
 
     def __init__(self, columns: tuple[int, ...], cosets: int) -> None:
         super().__init__({0: 0})
-        self.columns = columns  # column i's syndrome
-        self.units = [1 << i for i in range(len(columns))]  # the support {i}
         self.cosets = cosets
         self.walked = 0  # supports visited so far, over all lookups
-        self._weight = 0
-        self._left = 0  # supports of the current weight not yet visited
-        self._syndromes: Iterator[int] = iter(())
-        self._supports: Iterator[int] = iter(())
+        units = [1 << i for i in range(len(columns))]  # the support {i}
+        # (syndrome, support) of every nonzero support, in walk order; column i
+        # is the syndrome of {i}, so these reach every coset.
+        self._pairs = chain.from_iterable(
+            zip(map(partial(reduce, xor), combinations(columns, w)),
+                map(sum, combinations(units, w)))
+            for w in range(1, len(columns) + 1))
 
     def __missing__(self, syndrome: int) -> int:
         self._walk(syndrome)
@@ -105,20 +102,12 @@ class _Leaders(dict):
         """Walk on until `target` has a leader or every coset has one."""
         budget = COSET_WALK_BUDGET
         while target not in self and len(self) < self.cosets:
-            if not self._left:
-                w = self._weight = self._weight + 1
-                self._left = comb(len(self.units), w)
-                self._syndromes = map(partial(reduce, xor), combinations(self.columns, w))
-                self._supports = map(sum, combinations(self.units, w))
-            take = min(self._left, _WALK_CHUNK, budget - self.walked)
-            if take <= 0:
+            if self.walked >= budget:
                 raise CapacityError(
                     f"the coset-leader walk passed its budget of {budget} supports")
             # setdefault keeps the first support seen per syndrome.
-            deque(map(self.setdefault, islice(self._syndromes, take),
-                      islice(self._supports, take)), maxlen=0)
-            self.walked += take
-            self._left -= take
+            self.setdefault(*next(self._pairs))
+            self.walked += 1
 
 
 class LinearCode:

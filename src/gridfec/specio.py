@@ -126,10 +126,7 @@ def _matrix(doc: dict, key: str, where: str) -> BitMatrix:
     if width > MAX_CODE_LENGTH:
         raise SpecError(f"{where or 'spec'}: {doc['kind']} rows of {width} bits exceed "
                         f"the limit of {MAX_CODE_LENGTH} bits")
-    try:
-        return BitMatrix.from_strings(rows)
-    except Gf2Error as exc:
-        raise SpecError(f"{where or 'spec'}: {exc}") from exc
+    return BitMatrix.from_strings(rows)
 
 
 def _integer(doc: dict, key: str, where: str) -> int:

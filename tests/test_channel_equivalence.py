@@ -257,12 +257,20 @@ def test_reference_reproduces_pinned_stream():
 
 
 @pytest.mark.parametrize("p", [0.05, 0.5])
-@pytest.mark.parametrize("length", [129, 257, 1000])
+@pytest.mark.parametrize("length", [129, 257, 1000, 64, 65, 128])
 def test_multi_chunk_stream(length, p):
-    # 2, 3 and 8 chunks of 128 draws, so the chunks of one stream are joined.
+    # 2, 3 and 8 chunks of 128 draws, so the chunks of one stream are joined;
+    # then the edges of reading masks back: one 64-bit word, and one chunk.
     cfg = ChannelConfig(p, seed=0xC0FFEE + length)
     x = BitVector(length, int("10" * length, 2) >> length)
     assert bsc_corrupt(cfg, x) == reference_bsc_corrupt(cfg, x)
+
+
+def test_empty_stream():
+    # No draws and no chunk: the mask of a zero-length word is 0.
+    cfg = ChannelConfig(0.5, seed=0xC0FFEE)
+    x = BitVector(0, 0)
+    assert bsc_corrupt(cfg, x) == reference_bsc_corrupt(cfg, x) == x
 
 
 def _unshift(z: int, shift: int) -> int:

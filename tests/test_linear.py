@@ -59,6 +59,17 @@ def frozen_coset_walk(code: LinearCode) -> list[tuple[int, int]]:
     return list(leaders.items())
 
 
+def walk_position(n: int, support: int) -> int:
+    """The 1-based place of a nonzero support in the walk of the supports of
+    n bits by weight, then lexicographically; 0 for the zero support."""
+    if not support:
+        return 0
+    w = support.bit_count()
+    positions = tuple(i for i in range(n) if support >> i & 1)
+    return (sum(comb(n, j) for j in range(1, w))
+            + list(combinations(range(n), w)).index(positions) + 1)
+
+
 def direct_weights(code: LinearCode) -> list[int]:
     """A_0 .. A_n counted over every codeword."""
     counts = [0] * (code.n + 1)
@@ -489,6 +500,8 @@ class TestLeaderBits:
                 fresh = LinearCode.from_parity(c.h)
                 assert fresh.leader_bits[s] == leaders[s]
                 assert max(map(int.bit_count, fresh.leader_bits.values())) <= e.bit_count()
+                # The lookup stops at its leader's support.
+                assert fresh.leader_bits.walked == walk_position(c.n, leaders[s])
             syndromes = list(leaders)
             rng.shuffle(syndromes)
             for s in syndromes:
