@@ -96,20 +96,21 @@ def _slots(pattern: Iterable[int], repeats: int) -> int:
     return int.from_bytes(image * repeats, "little")
 
 
-def _flip_masks(seeds: int, lengths: Sequence[int], repeats: int, threshold: int) -> list[int]:
+def _flip_masks(seeds: int, lengths: Sequence[int], repeats: int, threshold: int,
+                lanes: int) -> list[int]:
     """The flip masks of many xorshift64* streams, all drawn at once.
 
     Slot k of the slot int `seeds` holds a stream seed; with L = len(lengths),
     mask k has bit d set iff draw d < lengths[k % L] of that stream is below
-    `threshold`, for k < L * repeats.  Every slot advances by the same
-    shifts, masks and one multiplication, so each mask is bit for bit the
-    scalar stream's.  A draw is at or above the threshold iff adding
+    `threshold`, for k < L * repeats.  `lanes` holds `_M64` in each of those
+    slots; callers pass the one they already hold.  Every slot advances by
+    the same shifts, masks and one multiplication, so each mask is bit for
+    bit the scalar stream's.  A draw is at or above the threshold iff adding
     2**64 - threshold carries into the slot's guard bit 64, so a clear guard
     bit is a flip; at p = 1, where the threshold is 2**64, nothing carries.
     """
     slots = len(lengths) * repeats
     ones = _slots((1,), slots)
-    lanes = ones * _M64
     guard = ones << 64
     bound = ones * ((1 << 64) - threshold)
     s = _mix64(seeds, lanes)
@@ -118,6 +119,7 @@ def _flip_masks(seeds: int, lengths: Sequence[int], repeats: int, threshold: int
     if zero:
         s |= (zero >> 64) * _GAMMA
     longest = max(lengths, default=0)
+    uneven = any(n != longest for n in lengths)
     images = []  # per chunk of 128 draws, every slot's 16 mask bytes
     for base in range(0, longest, 128):
         draws = min(128, longest - base)
@@ -128,9 +130,10 @@ def _flip_masks(seeds: int, lengths: Sequence[int], repeats: int, threshold: int
             s ^= s >> 27 & lanes
             above = (s * 0x2545F4914F6CDD1D & lanes) + bound & guard
             kept |= above >> 64 - d if d < 64 else above << d - 64
-        # Only the draws each slot's length asks for.
-        wanted = _slots(((1 << min(max(n - base, 0), 128)) - 1 for n in lengths), repeats)
-        images.append((wanted & ~kept).to_bytes(_SLOT_BYTES * slots, "little"))
+        flips = ones * ((1 << draws) - 1) ^ kept
+        if uneven:  # only the draws each slot's length asks for
+            flips &= _slots(((1 << min(max(n - base, 0), 128)) - 1 for n in lengths), repeats)
+        images.append(flips.to_bytes(_SLOT_BYTES * slots, "little"))
     if 0 < longest <= 64:
         return list(struct.unpack(f"<{2 * slots}Q", images[0])[0::2])
     # A slot's mask is its chunks in draw order, joined once.
@@ -148,9 +151,9 @@ def _trial_masks(master: int, trials: range, m: int, lengths: Sequence[int], cop
     fold on one slot per trial, the row fold on one per (trial, row), and
     the column and copy folds on all slots at once.
     """
-    seeds = _trial_seeds(master, trials, m, len(lengths), copies)
+    seeds, lanes = _trial_seeds(master, trials, m, len(lengths), copies)
     return _flip_masks(seeds, [length for length in lengths for _ in range(copies)],
-                       len(trials) * m, threshold)
+                       len(trials) * m, threshold, lanes)
 
 
 def _low_words(values: int, count: int) -> array:
@@ -173,8 +176,9 @@ def _repeat_slots(words: array, repeats: int) -> int:
     return int.from_bytes(out.tobytes(), "little")
 
 
-def _trial_seeds(master: int, trials: range, m: int, n: int, copies: int) -> int:
-    """The slot int of `_trial_masks`' stream seeds; its block-sized temporaries
+def _trial_seeds(master: int, trials: range, m: int, n: int, copies: int) -> tuple[int, int]:
+    """The slot int of `_trial_masks`' stream seeds, and the `lanes` slot int
+    of its folds, which the draw reuses; its other block-sized temporaries
     are freed on return, before the draw."""
     count = len(trials)
     rows = count * m
@@ -189,7 +193,7 @@ def _trial_seeds(master: int, trials: range, m: int, n: int, copies: int) -> int
     copy_ramp = _slots((_GAMMA + c for _ in range(n) for c in range(copies)), rows)
     lanes = _slots((_M64,), rows * width)
     seeds = _mix64(_repeat_slots(_low_words(row_seeds, rows), width) + col_ramp, lanes)
-    return _mix64(seeds + copy_ramp, lanes)
+    return _mix64(seeds + copy_ramp, lanes), lanes
 
 
 def _threshold(p: float) -> int:
@@ -199,7 +203,7 @@ def _threshold(p: float) -> int:
 
 def bsc_corrupt(cfg: ChannelConfig, x: BitVector) -> BitVector:
     """Flip each bit independently with probability p; fully seed-determined."""
-    (mask,) = _flip_masks(cfg.seed, (x.length,), 1, _threshold(cfg.flip_probability))
+    (mask,) = _flip_masks(cfg.seed, (x.length,), 1, _threshold(cfg.flip_probability), _M64)
     return BitVector(x.length, x.bits ^ mask)
 
 
@@ -250,6 +254,10 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
     to `arbitrate` where they differ, on the error masks themselves.  The
     memos are emptied with the block's masks, so they too stay within the
     block size.
+
+    Majority vote looks up the syndromes of struck cells only, and calls
+    `vote` only when untouched cells are not a strict majority: when they
+    are, the sent value has the unique top count, so the vote returns it.
     """
     if strategy not in STRATEGIES:
         raise ChannelError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
@@ -292,8 +300,15 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
         if any(c.bits != x for row in sent.cells for c in row):
             raise ChannelError("majority_vote expects the same codeword in every cell")
 
+        (syndrome_of,) = memos.values()
+        cells = len(codes)
+
         def outcome(errors: list[int]) -> tuple[int, bool]:
-            hidden = any(e and not syndrome_of[e] for e, syndrome_of in zip(errors, syndromes))
+            hidden = not all(map(syndrome_of.__getitem__, filter(None, errors)))
+            # More untouched cells than struck ones are a unique top count for x,
+            # which is all `vote` could return.
+            if 2 * errors.count(0) > cells:
+                return 0, hidden
             return (vote(codes[0], [x ^ e for e in errors]) ^ x).bit_count(), hidden
     else:
         def outcome(errors: list[int]) -> tuple[int, bool]:

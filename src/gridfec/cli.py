@@ -130,8 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = verbs("sim", "channel simulation", _expect_grid)
     p = verb(sim, "run", _sim_run, "run Monte-Carlo trials of a decoding strategy")
-    p.add_argument("--fill", help="codeword repeated in every cell")
-    p.add_argument("--stream-file", type=Path, help="row stream of the sent grid word")
+    sent = p.add_mutually_exclusive_group()  # optional: _sim_run reports neither given
+    sent.add_argument("--fill", help="codeword repeated in every cell")
+    sent.add_argument("--stream-file", type=Path, help="row stream of the sent grid word")
     p.add_argument("--p", type=float, required=True, help="bit flip probability")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

@@ -143,10 +143,12 @@ class GridCode:
         return self._cellwise(word, LinearCode.syndrome)
 
     def is_member(self, word: GridCodeword) -> bool:
-        """True when every present cell has a zero syndrome."""
+        """True when every present cell has a zero syndrome; cells with the same
+        check matrix and bits share one syndrome."""
         self._check_shape(word)
-        return all(x is None or not mat_vec_bits(c.h.row_words, x.bits)
-                   for codes, row in zip(self.cells, word.cells) for c, x in zip(codes, row))
+        pairs = {(c.h.row_words, x.bits) for codes, row in zip(self.cells, word.cells)
+                 for c, x in zip(codes, row) if x is not None}
+        return not any(mat_vec_bits(rows, bits) for rows, bits in pairs)
 
     def decode(self, word: GridCodeword) -> tuple[GridCodeword, GridCodeword]:
         """Per-cell coset decoding: (codeword, error); absent cells stay absent."""

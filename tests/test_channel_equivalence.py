@@ -213,6 +213,14 @@ def _mixed_from_stream():
     return grid, grid.from_row_stream(word.to_row_stream())
 
 
+def _even_vote():
+    """Two cells carrying 1111111: with one cell struck, half the cells are
+    untouched and the count ties.  A struck cell that is another codeword then
+    wins the tie, since 1111111 sorts after every other 7-bit string."""
+    code = hamming(3)
+    return GridCode.uniform(code, 1, 2), GridCodeword.from_rows([[BV("1111111")] * 2])
+
+
 def _wide_and_narrow():
     """Columns of 7 and 130 bits: the wide streams run past one 128-draw chunk.
 
@@ -233,6 +241,7 @@ CASES = {
     "per_cell_mixed": ("per_cell_decode", _mixed_from_stream),
     "per_cell_wide": ("per_cell_decode", _wide_and_narrow),
     "vote_uniform": ("majority_vote", _uniform_hamming),
+    "vote_even": ("majority_vote", _even_vote),
     "simultaneous_uniform": ("simultaneous", _uniform_hamming),
     "simultaneous_mixed": ("simultaneous", _mixed_from_stream),
     "simultaneous_wide": ("simultaneous", _wide_and_narrow),

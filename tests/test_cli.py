@@ -550,6 +550,17 @@ class TestSimCommand:
         assert rc == 2
         assert "give the sent word via --fill or --stream-file" in capsys.readouterr().err
 
+    def test_fill_and_stream_file_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sim", "run", "--spec", fx("hamming3.json"), "--fill", "0100101",
+                  "--stream-file", "sent.txt", "--p", "0.1", "--trials", "5",
+                  "--strategy", "per_cell_decode"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
+        assert "not allowed with argument" in captured.err
+
     def test_non_codeword_fill_rejected(self, capsys):
         rc = main(["sim", "run", "--spec", fx("hamming3.json"), "--fill", "1111110",
                    "--p", "0.1", "--trials", "5", "--seed", "1",

@@ -88,6 +88,25 @@ class TestEncodeSyndromeDecode:
         assert g.is_member(word)
         assert all(s.bits == 0 for row in g.syndrome(word) for s in row)
 
+    def test_one_non_codeword_among_identical_cells(self):
+        g = GridCode.uniform(hamming(3), 4, 4)
+        cells = [[BV("0100101")] * 4 for _ in range(4)]
+        cells[2][3] = BV("0100100")
+        assert not g.is_member(GridCodeword.from_rows(cells))
+        cells[2][3] = None
+        assert g.is_member(GridCodeword.from_rows(cells))
+
+    def test_same_bits_under_two_check_matrices(self):
+        # The second code is hamming(3) with its columns reversed: both are
+        # (7, 4) codes with three checks, so they share a row.
+        ham = hamming(3)
+        rev = LinearCode.from_parity(BM(["1111000", "1100110", "1010101"]))
+        g = GridCode([[ham, rev]])
+        x = BV("0100101")
+        assert ham.is_member(x) and not rev.is_member(x)
+        assert not g.is_member(GridCodeword.from_rows([[x, x]]))
+        assert g.is_member(GridCodeword.from_rows([[x, None]]))
+
     def test_encode_produces_members(self):
         g = grid_331()
         rng = random.Random(3)
