@@ -9,7 +9,9 @@ for every basis of C at once.  A retry with another basis can never succeed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import reduce
+from operator import xor
+from typing import Iterable, Optional
 
 from .gf2 import BitMatrix, BitVector, Gf2Error, rank
 from .linear import LinearCode
@@ -24,6 +26,11 @@ def pseudo_inner(x: BitVector, y: BitVector) -> int:
     if x.length != y.length:
         raise Gf2Error(f"length mismatch: {x.length} vs {y.length}")
     return (x.bits & y.bits).bit_count() & 1
+
+
+def _project(rows: Iterable[int], word: int) -> int:
+    """The XOR of the rows whose overlap with `word` has odd weight."""
+    return reduce(xor, (r for r in rows if (r & word).bit_count() & 1), 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,23 +58,17 @@ def pseudo_best_approx(beta: BitVector, basis: Basis) -> Optional[BitVector]:
     """
     if beta.length != basis.length:
         raise Gf2Error(f"length mismatch: {beta.length} vs {basis.length}")
-    acc = BitVector.zeros(beta.length)
-    for alpha in basis.vectors:
-        if pseudo_inner(beta, alpha):
-            acc ^= alpha
-    if acc.bits == 0 and beta.bits != 0:
+    acc = _project((alpha.bits for alpha in basis.vectors), beta.bits)
+    if acc == 0 and beta.bits != 0:
         return None
-    return acc
+    return BitVector(beta.length, acc)
 
 
 def approx_decode(code: LinearCode, y: BitVector) -> BitVector:
     """Project a received word onto the rows of G; codewords pass through unchanged."""
     if code.syndrome(y).bits == 0:
         return y
-    acc = 0
-    for row in code.generator().row_words:  # independent rows: no Basis check needed
-        if (row & y.bits).bit_count() & 1:
-            acc ^= row
+    acc = _project(code.generator().row_words, y.bits)  # independent rows: no Basis check needed
     if not acc:
         raise ApproxDecodeError("vanishing projection onto G: y is orthogonal to the code")
     return BitVector(code.n, acc)

@@ -191,9 +191,8 @@ def _code_info(c: LinearCode, args) -> int:
     print(f"check symbols: {c.n - c.k}")
     _print_rate(c.k, c.n)
     try:
-        d = c.min_distance()
-        print(f"min distance: {d}")
-        print(f"corrects up to: {(d - 1) // 2} errors")
+        print(f"min distance: {c.min_distance()}")
+        print(f"corrects up to: {c.error_capability()} errors")
     except CapacityError:
         print("min distance: skipped (code too large to enumerate)")
     if c.k <= _WORD_LIST_CAP:
@@ -319,10 +318,13 @@ def _grid_chart(grid: GridCode, args) -> int:
 
 def _grid_mask(grid: GridCode, args) -> int:
     word = _read_stream(args, grid)
-    if args.stencil:
+    progression = (args.first, args.diff, args.last)
+    if args.stencil is not None:
+        if progression != (None, None, None):
+            raise SpecError("give either --stencil or --first/--diff/--last, not both")
         mask = load_stencil(args.stencil)
-    elif args.first is not None and args.diff is not None and args.last is not None:
-        mask = mask_from_ap(args.first, args.diff, args.last, grid.m * grid.n)
+    elif None not in progression:
+        mask = mask_from_ap(*progression, grid.m * grid.n)
     else:
         raise SpecError("give either --stencil or all of --first/--diff/--last")
     for cell in apply_mask(word, mask):

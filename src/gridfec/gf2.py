@@ -94,10 +94,8 @@ class BitVector:
 
 
 def distance(x: BitVector, y: BitVector) -> int:
-    """Hamming distance: popcount of the XOR."""
-    if x.length != y.length:
-        raise Gf2Error(f"length mismatch: {x.length} vs {y.length}")
-    return (x.bits ^ y.bits).bit_count()
+    """Hamming distance: the weight of the difference."""
+    return (x ^ y).weight()
 
 
 @dataclass(frozen=True, slots=True)

@@ -360,21 +360,12 @@ class TrueChart:
         rows = [line for line in text.splitlines() if line.strip()]
         if not rows:
             raise GridError("chart text is empty")
-        width = len(rows[0])
-        marks = []
-        for line in rows:
-            if len(line) != width:
+        for line in rows:  # line by line: its width, then its characters
+            if len(line) != len(rows[0]):
                 raise GridError("chart rows have differing widths")
-            row = []
-            for ch in line:
-                if ch == "*":
-                    row.append(True)
-                elif ch == ".":
-                    row.append(False)
-                else:
-                    raise GridError(f"illegal chart character {ch!r}")
-            marks.append(tuple(row))
-        return cls(tuple(marks))
+            if bad := [ch for ch in line if ch not in "*."]:
+                raise GridError(f"illegal chart character {bad[0]!r}")
+        return cls(tuple(tuple(ch == "*" for ch in line) for line in rows))
 
     def to_text(self) -> str:
         return "\n".join("".join("*" if b else "." for b in row) for row in self.marks)

@@ -1,10 +1,10 @@
 """Binary (n, k) linear block codes: construction, syndromes, coset decoding.
 
 A code is the null space of its parity-check matrix H.  Every value here is
-immutable after construction; expensive derivations (codewords, weight
-distribution) are computed once and cached, and coset leaders are found
-lazily, by one support walk resumed as far as each lookup needs.  Enumeration
-runs over plain ints, from the smaller of the code and its dual.
+immutable after construction; derived forms (the systematic form, both
+bases, codewords, weight distribution) are computed once and cached, and
+coset leaders are found lazily, by one support walk resumed as far as each
+lookup needs.  Enumeration runs over ints, from the smaller of C and C-dual.
 """
 
 from __future__ import annotations
@@ -134,7 +134,6 @@ class LinearCode:
             if not mat_mul(g, transpose(h)).is_zero():
                 raise CodeError("generator and parity-check matrices are not orthogonal")
         self._g = g
-        self._derived_g: Optional[BitMatrix] = None
 
     @classmethod
     def from_parity(cls, h: BitMatrix) -> "LinearCode":
@@ -162,11 +161,7 @@ class LinearCode:
 
     def generator(self) -> BitMatrix:
         """The generator matrix: as given, else derived by standardization."""
-        if self._g is not None:
-            return self._g
-        if self._derived_g is None:
-            _, self._derived_g = self.standardize()
-        return self._derived_g
+        return self._g if self._g is not None else self._standard[1]
 
     def encode(self, a: BitVector) -> BitVector:
         g = self.generator()
@@ -187,13 +182,14 @@ class LinearCode:
         """All 2^k codewords (guarded by MAX_MESSAGE_BITS)."""
         if self.k > MAX_MESSAGE_BITS:
             raise CapacityError(f"k={self.k} exceeds the enumeration guard of {MAX_MESSAGE_BITS}")
-        return frozenset(BitVector(self.n, w) for w in _span([v.bits for v in self._basis()]))
+        return frozenset(BitVector(self.n, w) for w in _span(self._basis))
 
-    def _basis(self) -> list[BitVector]:
-        """A basis of the code: the rows of the given G, else the null space of H."""
+    @cached_property
+    def _basis(self) -> tuple[int, ...]:
+        """A basis of the code, as ints: the rows of the given G, else the null space of H."""
         if self._g is not None:
-            return [self._g.row(i) for i in range(self._g.rows)]
-        return null_space_basis(self.h)
+            return self._g.row_words
+        return tuple(v.bits for v in null_space_basis(self.h))
 
     # -- standard form ----------------------------------------------------
 
@@ -203,6 +199,11 @@ class LinearCode:
         Column permutations are refused: coordinate order is load-bearing
         for the super compositions, so a non-systematic layout is an error.
         """
+        return self._standard
+
+    @cached_property
+    def _standard(self) -> tuple[BitMatrix, BitMatrix]:
+        """(h_std, g_std), computed once; a refusal raises again on every read."""
         m = self.n - self.k
         words = list(self.h.row_words)
         pivots = eliminate(words, range(self.k, self.n))
@@ -234,7 +235,7 @@ class LinearCode:
         if self.k > m and n > MAX_CODE_LENGTH:
             # The transform holds n + 1 integers of up to n bits each.
             raise CapacityError(f"n={n} exceeds the transform guard of {MAX_CODE_LENGTH}")
-        small = [v.bits for v in self._basis()] if self.k <= m else self._dual_basis
+        small = self._basis if self.k <= m else self._dual_basis
         found = Counter(map(int.bit_count, _span(small)))
         if self.k <= m:
             return tuple(found[j] for j in range(n + 1))
@@ -297,13 +298,12 @@ class LinearCode:
 
     def dual(self) -> "LinearCode":
         """The orthogonal code: generator and parity-check roles swap."""
-        code_basis = self._basis()
-        if not code_basis:
+        if not self.k:
             # Dual of the zero code is the full space.
             return LinearCode.from_generator(BitMatrix.identity(self.n))
         g_dual = BitMatrix(self.n - self.k, self.n, self._dual_basis) if self.k < self.n else None
-        return LinearCode(BitMatrix.from_rows(code_basis), g_dual)
+        return LinearCode(BitMatrix(self.k, self.n, self._basis), g_dual)
 
     def is_cyclic(self) -> bool:
         """True iff every codeword's cyclic shift is a codeword; by linearity, a basis suffices."""
-        return all(self.is_member(v.shift_right()) for v in self._basis())
+        return all(self.is_member(BitVector(self.n, w).shift_right()) for w in self._basis)

@@ -58,9 +58,9 @@ def _parse_code(doc, where: str) -> LinearCode:
     kind = doc["kind"]
     try:
         if kind == "parity":
-            return LinearCode.from_parity(_matrix(doc, "rows", where))
+            return LinearCode.from_parity(_matrix(doc, where))
         if kind == "generator":
-            return LinearCode.from_generator(_matrix(doc, "rows", where))
+            return LinearCode.from_generator(_matrix(doc, where))
         if kind == "hamming":
             return hamming(_capped(doc, "m", where))
         if kind == "repetition":
@@ -117,11 +117,11 @@ def _parse_composition(doc: dict) -> AnyCode:
         raise SpecError(str(exc)) from exc
 
 
-def _matrix(doc: dict, key: str, where: str) -> BitMatrix:
-    rows = doc.get(key)
+def _matrix(doc: dict, where: str) -> BitMatrix:
+    rows = doc.get("rows")
     if (not isinstance(rows, list) or not rows
             or any(not isinstance(r, str) for r in rows)):
-        raise SpecError(f"{where or 'spec'}: '{key}' must be a non-empty array of bit strings")
+        raise SpecError(f"{where or 'spec'}: 'rows' must be a non-empty array of bit strings")
     width = max(map(len, rows))
     if width > MAX_CODE_LENGTH:
         raise SpecError(f"{where or 'spec'}: {doc['kind']} rows of {width} bits exceed "
@@ -129,16 +129,11 @@ def _matrix(doc: dict, key: str, where: str) -> BitMatrix:
     return BitMatrix.from_strings(rows)
 
 
-def _integer(doc: dict, key: str, where: str) -> int:
+def _capped(doc: dict, key: str, where: str) -> int:
+    """The integer `doc[key]`, refused before construction if the code outgrows MAX_CODE_LENGTH."""
     v = doc.get(key)
     if not isinstance(v, int) or isinstance(v, bool):
         raise SpecError(f"{where or 'spec'}: '{key}' must be an integer")
-    return v
-
-
-def _capped(doc: dict, key: str, where: str) -> int:
-    """`_integer`, refused before construction if the code would exceed MAX_CODE_LENGTH."""
-    v = _integer(doc, key, where)
     # A Hamming code of order m has length 2^m - 1.
     limit = (MAX_CODE_LENGTH + 1).bit_length() - 1 if key == "m" else MAX_CODE_LENGTH
     if v > limit:

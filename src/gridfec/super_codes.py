@@ -57,10 +57,8 @@ def super_weight(x: SuperCodeword) -> int:
 
 
 def super_distance(x: SuperCodeword, y: SuperCodeword) -> int:
-    """Sum of the segment Hamming distances."""
-    if x.shape() != y.shape():
-        raise CompositionError(f"shape mismatch: {x.shape()} vs {y.shape()}")
-    return sum((a.bits ^ b.bits).bit_count() for a, b in zip(x.segments, y.segments))
+    """Sum of the segment Hamming distances: the weight of the difference."""
+    return super_weight(x ^ y)
 
 
 class _SuperCode:

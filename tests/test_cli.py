@@ -143,6 +143,13 @@ class TestCodeCommands:
 
 
 NESTED = "[" * 100_000 + "]" * 100_000
+# A 3x3 hamming(3) grid's row stream and one line of it; a 7x7 repetition(2)
+# grid and its all-zero row stream.
+HAM3_STREAM_LINE = "1010101|1010101|1010101\n"
+HAM3_STREAM = HAM3_STREAM_LINE * 3
+REP7X7_STREAM = ("|".join(["00"] * 7) + "\n") * 7
+REP7X7 = json.dumps({"shape": "grid", "cells": [[{"kind": "repetition", "n": 2}] * 7] * 7})
+
 # Refusals: argv (a name in the file table is written under tmp_path) and files.
 REFUSALS = {
     "code_info_on_composition": (["code", "info", "--spec", fx("ex_3_1_8.json")], {}),
@@ -160,6 +167,36 @@ REFUSALS = {
         ["grid", "mask", "--spec", fx("hamming3.json"), "--stream-file", "recv.txt",
          "--first", "1"],
         {"recv.txt": "0000000\n"}),
+    "grid_mask_with_stencil_and_progression": (
+        ["grid", "mask", "--spec", "rep7x7.json", "--stream-file", "recv.txt",
+         "--stencil", "cross", "--first", "1", "--diff", "1", "--last", "2"],
+        {"rep7x7.json": REP7X7, "recv.txt": REP7X7_STREAM}),
+    "grid_mask_with_empty_stencil_and_progression": (
+        ["grid", "mask", "--spec", "rep7x7.json", "--stream-file", "recv.txt",
+         "--stencil", "", "--first", "1", "--diff", "1", "--last", "2"],
+        {"rep7x7.json": REP7X7, "recv.txt": REP7X7_STREAM}),
+    "grid_mask_with_zero_difference": (
+        ["grid", "mask", "--spec", fx("hamming3_grid.json"), "--stream-file", "recv.txt",
+         "--first", "1", "--diff", "0", "--last", "2"], {"recv.txt": HAM3_STREAM}),
+    "grid_mask_with_last_before_first": (
+        ["grid", "mask", "--spec", fx("hamming3_grid.json"), "--stream-file", "recv.txt",
+         "--first", "3", "--diff", "1", "--last", "2"], {"recv.txt": HAM3_STREAM}),
+    "grid_decode_with_too_few_row_lines": (
+        ["grid", "decode", "--spec", fx("hamming3_grid.json"), "--stream-file", "recv.txt"],
+        {"recv.txt": HAM3_STREAM_LINE * 2}),
+    "grid_decode_with_too_many_column_lines": (
+        ["grid", "decode", "--spec", fx("hamming3_grid.json"), "--stream-file", "recv.txt",
+         "--by", "col"],
+        {"recv.txt": HAM3_STREAM_LINE * 4}),
+    "grid_chart_empty": (
+        ["grid", "chart", "--spec", fx("hamming3_grid.json"), "--stream-file", "recv.txt",
+         "--chart-file", "chart.txt"], {"recv.txt": HAM3_STREAM, "chart.txt": "\n"}),
+    "grid_chart_with_differing_widths": (
+        ["grid", "chart", "--spec", fx("hamming3_grid.json"), "--stream-file", "recv.txt",
+         "--chart-file", "chart.txt"], {"recv.txt": HAM3_STREAM, "chart.txt": "***\n**\n***\n"}),
+    "grid_chart_with_an_illegal_character_before_a_short_row": (
+        ["grid", "chart", "--spec", fx("hamming3_grid.json"), "--stream-file", "recv.txt",
+         "--chart-file", "chart.txt"], {"recv.txt": HAM3_STREAM, "chart.txt": "*x\n*\n"}),
     "super_encode_absent_message": (
         ["super", "encode", "--spec", fx("ex_3_1_8.json"), "--messages", "10|·"], {}),
     "grid_encode_absent_message": (

@@ -416,6 +416,15 @@ class TestChart:
         chart = TrueChart.from_text(self.CHART_TEXT)
         assert TrueChart.from_text(chart.to_text()) == chart
 
+    def test_refusals_line_by_line(self):
+        # Each line's width is checked before its characters, and line 1 before line 2.
+        for text, message in (("\n \n", "chart text is empty"),
+                              ("**\n*.*", "differing widths"),
+                              ("*x\n*", "illegal chart character 'x'"),
+                              ("**\n*x.", "differing widths")):
+            with pytest.raises(GridError, match=message):
+                TrueChart.from_text(text)
+
 
 class TestMask:
     def _word_7x7(self):

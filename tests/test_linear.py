@@ -151,6 +151,31 @@ class TestStandardize:
             with pytest.raises(CodeError, match="column 2"):
                 LinearCode.from_parity(BM(rows)).standardize()
 
+    def test_computed_once(self):
+        c = LinearCode.from_parity(H_121)
+        assert c.standardize() is c.standardize()
+        assert c.generator() is c.standardize()[1]
+
+    def test_refusal_raises_on_every_call(self):
+        c = LinearCode.from_parity(BM(["110"]))
+        for _ in range(2):
+            with pytest.raises(CodeError, match="column 2"):
+                c.standardize()
+
+
+class TestCodeBasis:
+    def test_null_space_found_once(self, monkeypatch):
+        from gridfec.families import hamming
+        calls = []
+        real = linear.null_space_basis
+        monkeypatch.setattr(linear, "null_space_basis", lambda a: calls.append(a) or real(a))
+        c = hamming(3)
+        for _ in range(2):
+            c.dual()
+            assert not c.is_cyclic()
+        assert len(c.codewords) == 16
+        assert len(calls) == 1
+
 
 class TestEncode:
     def test_worked_messages(self):

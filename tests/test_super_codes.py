@@ -136,6 +136,10 @@ class TestSuperDistance:
         x = SuperCodeword.of("101", "1100")
         assert super_distance(x, x) == 0
 
+    def test_shape_mismatch(self):
+        with pytest.raises(CompositionError, match="shape mismatch"):
+            super_distance(SuperCodeword.of("101", "1100"), SuperCodeword.of("101", "110"))
+
     def test_componentwise_decomposition(self):
         rng = random.Random(13)
         for _ in range(50):
