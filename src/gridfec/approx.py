@@ -8,12 +8,11 @@ for every basis of C at once.  A retry with another basis can never succeed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import xor
 from typing import Iterable, Optional
 
-from .gf2 import BitMatrix, BitVector, Gf2Error, rank
+from .gf2 import BitMatrix, BitVector, Gf2Error, Value, _set, rank
 from .linear import LinearCode
 
 
@@ -33,17 +32,18 @@ def _project(rows: Iterable[int], word: int) -> int:
     return reduce(xor, (r for r in rows if (r & word).bit_count() & 1), 0)
 
 
-@dataclass(frozen=True, slots=True)
-class Basis:
+class Basis(Value):
     """An ordered, GF(2)-linearly-independent list of equal-length vectors."""
 
+    __slots__ = ("vectors",)
     vectors: tuple[BitVector, ...]
 
-    def __post_init__(self) -> None:
-        if not self.vectors:
+    def __init__(self, vectors: tuple[BitVector, ...]) -> None:
+        if not vectors:
             raise Gf2Error("basis must be non-empty")
-        if rank(BitMatrix.from_rows(list(self.vectors))) != len(self.vectors):
+        if rank(BitMatrix.from_rows(list(vectors))) != len(vectors):
             raise Gf2Error("basis vectors are linearly dependent")
+        _set(self, "vectors", vectors)
 
     @property
     def length(self) -> int:

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import struct
 from array import array
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .gf2 import BitVector, Gf2Error, mat_vec_bits
+from .gf2 import BitVector, Gf2Error, Value, _set, mat_vec_bits
 from .grid import GridCode, GridCodeword, arbitrate, vote
 
 _M64 = (1 << 64) - 1
@@ -44,26 +43,35 @@ class ChannelError(ValueError):
     """Raised on invalid channel configuration or simulation input."""
 
 
-@dataclass(frozen=True, slots=True)
-class ChannelConfig:
+class ChannelConfig(Value):
     """A BSC flip probability and a 64-bit master seed."""
 
+    __slots__ = ("flip_probability", "seed")
     flip_probability: float
-    seed: int = 0
+    seed: int
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.flip_probability <= 1.0:
-            raise ChannelError(f"flip probability {self.flip_probability} not in [0, 1]")
-        if not 0 <= self.seed <= _M64:
+    def __init__(self, flip_probability: float, seed: int = 0) -> None:
+        if not 0.0 <= flip_probability <= 1.0:
+            raise ChannelError(f"flip probability {flip_probability} not in [0, 1]")
+        if not 0 <= seed <= _M64:
             raise ChannelError("seed must fit in 64 bits")
+        _set(self, "flip_probability", flip_probability)
+        _set(self, "seed", seed)
 
 
-@dataclass(frozen=True, slots=True)
-class TrialReport:
+class TrialReport(Value):
+    __slots__ = ("trials", "decode_success", "undetected_error", "residual_bit_errors")
     trials: int
     decode_success: int
     undetected_error: int
     residual_bit_errors: int
+
+    def __init__(self, trials: int, decode_success: int, undetected_error: int,
+                 residual_bit_errors: int) -> None:
+        _set(self, "trials", trials)
+        _set(self, "decode_success", decode_success)
+        _set(self, "undetected_error", undetected_error)
+        _set(self, "residual_bit_errors", residual_bit_errors)
 
     @property
     def failures(self) -> int:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .approx import ApproxDecodeError, approx_decode
@@ -162,8 +162,9 @@ def _expect_grid(code: AnyCode) -> GridCode:
 
 def _print_rate(k: int, n: int) -> None:
     """Print "rate: k/n", with the reduced fraction appended when it differs."""
-    rate = Fraction(k, n)
-    print(f"rate: {k}/{n}" if rate.denominator == n else f"rate: {k}/{n} = {rate}")
+    g = math.gcd(k, n)
+    reduced = str(k // g) if g == n else f"{k // g}/{n // g}"
+    print(f"rate: {k}/{n}" if g == 1 else f"rate: {k}/{n} = {reduced}")
 
 
 def _read_text(path: Path) -> str:

@@ -3,9 +3,7 @@ Hamming, and cyclic codes built from a generator polynomial."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .gf2 import BitMatrix, Gf2Poly, poly_divide
+from .gf2 import BitMatrix, Gf2Poly, Value, _set, poly_divide
 from .linear import CodeError, LinearCode
 
 
@@ -46,21 +44,23 @@ def hamming(m: int) -> LinearCode:
     return LinearCode(BitMatrix(m, n, tuple(words)))
 
 
-@dataclass(frozen=True, slots=True)
-class CyclicSpec:
+class CyclicSpec(Value):
     """Length n together with a generator polynomial dividing x^n - 1."""
 
+    __slots__ = ("n", "g")
     n: int
     g: Gf2Poly
 
-    def __post_init__(self) -> None:
-        if self.g.is_zero():
+    def __init__(self, n: int, g: Gf2Poly) -> None:
+        if g.is_zero():
             raise CodeError("generator polynomial must be nonzero")
-        if self.g.degree() >= self.n:
-            raise CodeError(f"deg(g)={self.g.degree()} must be below n={self.n}")
-        _, rem = poly_divide(Gf2Poly.x_pow_plus_one(self.n), self.g)
+        if g.degree() >= n:
+            raise CodeError(f"deg(g)={g.degree()} must be below n={n}")
+        _, rem = poly_divide(Gf2Poly.x_pow_plus_one(n), g)
         if not rem.is_zero():
-            raise CodeError(f"{self.g} does not divide x^{self.n} - 1")
+            raise CodeError(f"{g} does not divide x^{n} - 1")
+        _set(self, "n", n)
+        _set(self, "g", g)
 
     @property
     def k(self) -> int:

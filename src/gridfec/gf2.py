@@ -2,41 +2,86 @@
 
 Bits are packed into Python ints.  Index 0 is always the leftmost symbol as
 printed ("1011" has bit 0 = 1, bit 3 = 1); polynomial index i is the
-coefficient of x**i, so x^3 + x^2 + 1 prints as "1011".
+coefficient of x**i, so x^3 + x^2 + 1 prints as "1011".  `Value` is the base
+of every immutable value class in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+_set = object.__setattr__  # how a value's own __init__ sets its fields
 
 
 class Gf2Error(ValueError):
     """Raised on dimension mismatches and other GF(2) value errors."""
 
 
-@dataclass(frozen=True, slots=True)
-class BitVector:
+class Value:
+    """Base of gridfec's immutable value classes.
+
+    A subclass names its fields in `__slots__`, in the order of its
+    constructor's positional parameters, and sets each once in `__init__`
+    with `object.__setattr__`.  Equality, hash, repr, pickling and copying
+    come from the fields; assignment and deletion raise AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class BitVector(Value):
     """An immutable vector over GF(2); bit i sits at 1 << i of `bits`."""
 
+    __slots__ = ("length", "bits")
     length: int
     bits: int
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
+    def __init__(self, length: int, bits: int) -> None:
+        if length < 0:
             raise Gf2Error("vector length must be non-negative")
-        if not 0 <= self.bits < (1 << self.length):
+        if not 0 <= bits < (1 << length):
             raise Gf2Error("bit pattern does not fit the stated length")
+        _set(self, "length", length)
+        _set(self, "bits", bits)
+
+    # The hot value class: its own comparison skips the generic field tuples.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits == other.bits and self.length == other.length  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.length, self.bits))
 
     @classmethod
     def from_string(cls, text: str) -> "BitVector":
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise Gf2Error(f"illegal character {ch!r} in bit string")
-        return cls(len(text), bits)
+        if bad := text.strip("01"):  # starts at the first character that is neither
+            raise Gf2Error(f"illegal character {bad[0]!r} in bit string")
+        return cls(len(text), int(text[::-1], 2) if text else 0)
 
     @classmethod
     def zeros(cls, n: int) -> "BitVector":
@@ -98,22 +143,25 @@ def distance(x: BitVector, y: BitVector) -> int:
     return (x ^ y).weight()
 
 
-@dataclass(frozen=True, slots=True)
-class BitMatrix:
+class BitMatrix(Value):
     """An immutable row-major GF(2) matrix; each row packed as an int."""
 
+    __slots__ = ("rows", "cols", "row_words")
     rows: int
     cols: int
     row_words: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, row_words: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise Gf2Error("matrix dimensions must be non-negative")
-        if len(self.row_words) != self.rows:
+        if len(row_words) != rows:
             raise Gf2Error("row count does not match stored rows")
-        limit = 1 << self.cols
-        if any(not 0 <= w < limit for w in self.row_words):
+        limit = 1 << cols
+        if any(not 0 <= w < limit for w in row_words):
             raise Gf2Error("row data wider than stated column count")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "row_words", row_words)
 
     @classmethod
     def from_strings(cls, rows: Sequence[str]) -> "BitMatrix":
@@ -195,19 +243,24 @@ def eliminate(words: list[int], columns: Iterable[int]) -> list[int]:
 
     A column with a set bit at or below the next pivot row gets a pivot: that
     row is swapped up and the bit is cleared from every other row.  Columns
-    without one are skipped.  Returns the pivot columns; pivot i sits in row i.
+    without one are skipped, and the walk stops once every row holds a pivot.
+    Returns the pivot columns; pivot i sits in row i.
     """
     pivots: list[int] = []
+    rows = len(words)
     for j in columns:
         r = len(pivots)
-        pivot = next((i for i in range(r, len(words)) if (words[i] >> j) & 1), None)
+        bit = 1 << j
+        pivot = next((i for i in range(r, rows) if words[i] & bit), None)
         if pivot is None:
             continue
-        words[r], words[pivot] = words[pivot], words[r]
-        for i in range(len(words)):
-            if i != r and (words[i] >> j) & 1:
-                words[i] ^= words[r]
+        row = words[pivot]
+        words[pivot] = words[r]
+        words[:] = [w ^ row if w & bit else w for w in words]
+        words[r] = row  # the comprehension cleared the pivot row too
         pivots.append(j)
+        if r + 1 == rows:  # every row holds a pivot: no column can get another
+            break
     return pivots
 
 
@@ -238,19 +291,20 @@ def null_space_basis(a: BitMatrix) -> list[BitVector]:
     return basis
 
 
-@dataclass(frozen=True, slots=True)
-class Gf2Poly:
+class Gf2Poly(Value):
     """Polynomial over GF(2); bit i of `coeffs` is the coefficient of x**i.
 
     The zero polynomial is coeffs == 0; its degree is undefined, query
     is_zero() instead.
     """
 
+    __slots__ = ("coeffs",)
     coeffs: int
 
-    def __post_init__(self) -> None:
-        if self.coeffs < 0:
+    def __init__(self, coeffs: int) -> None:
+        if coeffs < 0:
             raise Gf2Error("polynomial bits must be non-negative")
+        _set(self, "coeffs", coeffs)
 
     @classmethod
     def from_string(cls, text: str) -> "Gf2Poly":
@@ -311,17 +365,21 @@ def poly_divide(num: Gf2Poly, den: Gf2Poly) -> tuple[Gf2Poly, Gf2Poly]:
     return Gf2Poly(q), Gf2Poly(n)
 
 
-@dataclass(frozen=True, slots=True)
-class SuperMatrix:
+class SuperMatrix(Value):
     """A BitMatrix with interior partition lines between rows and columns."""
 
+    __slots__ = ("body", "row_cuts", "col_cuts")
     body: BitMatrix
-    row_cuts: tuple[int, ...] = ()
-    col_cuts: tuple[int, ...] = ()
+    row_cuts: tuple[int, ...]
+    col_cuts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _check_cuts(self.row_cuts, self.body.rows, "row")
-        _check_cuts(self.col_cuts, self.body.cols, "column")
+    def __init__(self, body: BitMatrix, row_cuts: tuple[int, ...] = (),
+                 col_cuts: tuple[int, ...] = ()) -> None:
+        _check_cuts(row_cuts, body.rows, "row")
+        _check_cuts(col_cuts, body.cols, "column")
+        _set(self, "body", body)
+        _set(self, "row_cuts", row_cuts)
+        _set(self, "col_cuts", col_cuts)
 
     def block_row_spans(self) -> list[tuple[int, int]]:
         return _spans(self.row_cuts, self.body.rows)

@@ -20,12 +20,10 @@ them from its per-block syndrome memo.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from importlib import resources
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .approx import pseudo_inner
-from .gf2 import BitVector, mat_vec_bits
+from .gf2 import BitVector, Value, _set, mat_vec_bits
 from .linear import CodeError, LinearCode, Syndrome
 
 MISSING_CELL = "·"
@@ -43,11 +41,14 @@ Cells = tuple[tuple[Optional[BitVector], ...], ...]
 T = TypeVar("T")
 
 
-@dataclass(frozen=True, slots=True)
-class GridCodeword:
+class GridCodeword(Value):
     """An m x n array of cell vectors; None marks an absent cell."""
 
+    __slots__ = ("cells",)
     cells: Cells
+
+    def __init__(self, cells: Cells) -> None:
+        _set(self, "cells", cells)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Optional[BitVector]]]) -> "GridCodeword":
@@ -247,10 +248,14 @@ class GridCode:
         return all(c.is_cyclic() for row in self.cells for c in row)
 
 
-@dataclass(frozen=True, slots=True)
-class ReconcileResult:
+class ReconcileResult(Value):
+    __slots__ = ("word", "disagreements")
     word: GridCodeword
     disagreements: tuple[tuple[int, int], ...]
+
+    def __init__(self, word: GridCodeword, disagreements: tuple[tuple[int, int], ...]) -> None:
+        _set(self, "word", word)
+        _set(self, "disagreements", disagreements)
 
 
 def vote(code: LinearCode, values: list[int]) -> int:
@@ -349,11 +354,14 @@ def block_layout(m: int, n: int,
     return GridCode(cells)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True, slots=True)
-class TrueChart:
+class TrueChart(Value):
     """Boolean grid marking which cells carry the real message."""
 
+    __slots__ = ("marks",)
     marks: tuple[tuple[bool, ...], ...]
+
+    def __init__(self, marks: tuple[tuple[bool, ...], ...]) -> None:
+        _set(self, "marks", marks)
 
     @classmethod
     def from_text(cls, text: str) -> "TrueChart":
@@ -390,17 +398,18 @@ def apply_chart(word: GridCodeword, chart: TrueChart) -> list[BitVector]:
     return apply_mask(word, CellMask.from_pairs(marked, word.n))
 
 
-@dataclass(frozen=True, slots=True)
-class CellMask:
+class CellMask(Value):
     """1-based row-major cell indices selecting the meaningful cells."""
 
+    __slots__ = ("indices",)
     indices: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if any(i < 1 for i in self.indices):
+    def __init__(self, indices: tuple[int, ...]) -> None:
+        if any(i < 1 for i in indices):
             raise GridError("mask indices are 1-based and must be positive")
-        if len(set(self.indices)) != len(self.indices):
+        if len(set(indices)) != len(indices):
             raise GridError("mask indices must be distinct")
+        _set(self, "indices", indices)
 
     @classmethod
     def from_pairs(cls, pairs, n_cols: int) -> "CellMask":
@@ -444,6 +453,8 @@ def apply_mask(word: GridCodeword, mask: CellMask) -> list[BitVector]:
 
 def load_stencil(name: str) -> CellMask:
     """A shipped letter/symbol stencil ('t', 'k' or 'cross') as a CellMask."""
+    from importlib import resources  # only stencil readers pay for its import
+
     shipped = {f.name: f for f in resources.files("gridfec.stencils").iterdir()}
     if f"{name}.txt" not in shipped:
         raise GridError(f"unknown stencil {name!r}")

@@ -10,11 +10,10 @@ lookup needs.  Enumeration runs over ints, from the smaller of C and C-dual.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import chain, combinations
 from operator import xor
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .gf2 import (
     BitMatrix,
@@ -26,6 +25,9 @@ from .gf2 import (
     rank,
     transpose,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # A syndrome is just a BitVector of length n - k.
 Syndrome = BitVector
@@ -152,6 +154,8 @@ class LinearCode:
     # -- basic parameters ------------------------------------------------
 
     def transmission_rate(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.k, self.n)
 
     def __repr__(self) -> str:

@@ -10,16 +10,17 @@ componentwise encoding, syndromes, membership and decoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .families import CyclicSpec, cyclic_from_poly, hamming, parity_check, repetition
-from .gf2 import BitMatrix, BitVector, SuperMatrix, super_transpose, transpose
+from .gf2 import BitMatrix, BitVector, SuperMatrix, Value, _set, super_transpose, transpose
 from .grid import CompositionError as CompositionError  # re-exported
 from .grid import GridCode, GridCodeword, format_super_word
 from .linear import CodeError, LinearCode, Syndrome
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class GeneratorUndefinedError(CodeError):
@@ -27,11 +28,14 @@ class GeneratorUndefinedError(CodeError):
     names the violated constraint."""
 
 
-@dataclass(frozen=True, slots=True)
-class SuperCodeword:
+class SuperCodeword(Value):
     """One bit-vector segment per component."""
 
+    __slots__ = ("segments",)
     segments: tuple[BitVector, ...]
+
+    def __init__(self, segments: tuple[BitVector, ...]) -> None:
+        _set(self, "segments", segments)
 
     @classmethod
     def of(cls, *texts: str) -> "SuperCodeword":
@@ -76,6 +80,8 @@ class _SuperCode:
         return 1 << sum(c.k for c in self.components)
 
     def transmission_rate(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(sum(c.k for c in self.components),
                         sum(c.n for c in self.components))
 

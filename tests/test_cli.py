@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 import gridfec
 from gridfec import linear
 from gridfec.channel import ChannelConfig, run_trial
-from gridfec.cli import _build_parser, main
+from gridfec.cli import _build_parser, _print_rate, main
 from gridfec.gf2 import BitVector
 from gridfec.grid import GridCode, GridCodeword
 from gridfec.specio import parse_spec
@@ -327,6 +328,20 @@ class TestClosedStdout:
             os.close(write)
         assert proc.returncode == 141
         assert proc.stderr == b""
+
+
+class TestRateLine:
+    def test_matches_the_reduced_fraction(self, capsys):
+        for n in range(1, 40):
+            for k in range(n + 1):
+                _print_rate(k, n)
+                rate = Fraction(k, n)
+                want = f"rate: {k}/{n}" if rate.denominator == n else f"rate: {k}/{n} = {rate}"
+                assert capsys.readouterr().out == want + "\n"
+
+    def test_whole_rate(self, capsys):
+        _print_rate(5, 5)
+        assert capsys.readouterr().out == "rate: 5/5 = 1\n"
 
 
 class TestSuperCommands:

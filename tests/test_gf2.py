@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gridfec.families import hamming, repetition
 from gridfec.gf2 import (
     BitMatrix,
     BitVector,
@@ -9,6 +10,7 @@ from gridfec.gf2 import (
     Gf2Poly,
     SuperMatrix,
     distance,
+    eliminate,
     mat_mul,
     mat_vec,
     null_space_basis,
@@ -39,6 +41,26 @@ class TestBitVector:
     def test_illegal_character(self):
         with pytest.raises(Gf2Error):
             BV("10x1")
+
+    @pytest.mark.parametrize("text, first", [("1_0", "_"), (" 10", " "), ("10\n", "\n"),
+                                             ("\u0661", "\u0661"), ("0b1", "b"), ("+1", "+"),
+                                             ("01x1y0", "x")])
+    def test_refuses_what_int_accepts(self, text, first):
+        # int(text, 2) takes underscores, surrounding whitespace, signs and
+        # other scripts' digits; a bit string is only '0' and '1'.
+        with pytest.raises(Gf2Error) as exc:
+            BV(text)
+        assert str(exc.value) == f"illegal character {first!r} in bit string"
+
+    def test_empty_string(self):
+        assert BV("") == BitVector(0, 0)
+
+    def test_parse_matches_the_per_character_loop(self):
+        rng = random.Random(5)
+        for n in [*range(70), 1023, 4096]:
+            text = "".join(rng.choice("01") for _ in range(n))
+            assert BV(text).bits == sum(1 << i for i, ch in enumerate(text) if ch == "1")
+            assert str(BV(text)) == text and len(BV(text)) == n
 
     def test_xor_length_mismatch(self):
         with pytest.raises(Gf2Error):
@@ -223,6 +245,53 @@ class TestRank:
             expected = len(spanned).bit_length() - 1
             assert rank(a) == expected
             assert rank(a) == rank(transpose(a))
+
+
+def _eliminate_reference(words: list[int], columns) -> list[int]:
+    """The per-row elimination loop that `eliminate` replaced, kept as its oracle."""
+    pivots: list[int] = []
+    for j in columns:
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(words)) if (words[i] >> j) & 1), None)
+        if pivot is None:
+            continue
+        words[r], words[pivot] = words[pivot], words[r]
+        for i in range(len(words)):
+            if i != r and (words[i] >> j) & 1:
+                words[i] ^= words[r]
+        pivots.append(j)
+    return pivots
+
+
+class TestEliminate:
+    def test_matches_the_reference_loop(self):
+        rng = random.Random(11)
+        for trial in range(1500):
+            rows, cols = rng.randint(0, 9), rng.randint(1, 12)
+            density = rng.choice((0.1, 0.5, 0.9))
+            start = [sum(1 << j for j in range(cols) if rng.random() < density)
+                     for _ in range(rows)]
+            columns = list(range(cols))
+            if trial % 2:
+                rng.shuffle(columns)
+            if trial % 3 == 0:  # a partial list, as _standard's range(k, n)
+                columns = columns[rng.randint(0, cols):]
+            got, want = list(start), list(start)
+            assert eliminate(got, columns) == _eliminate_reference(want, columns)
+            assert got == want
+
+    def test_partial_range_of_a_code(self):
+        for h in (H_121, H_126, repetition(17).h, hamming(4).h):
+            k = h.cols - rank(h)
+            got, want = list(h.row_words), list(h.row_words)
+            assert eliminate(got, range(k, h.cols)) == _eliminate_reference(want, range(k, h.cols))
+            assert got == want
+
+    def test_in_place_on_the_callers_list(self):
+        words = [0b011, 0b110]
+        same = words
+        assert eliminate(words, range(3)) == [0, 1]
+        assert same is words and words == [0b101, 0b110]
 
 
 class TestWeightDistance:
