@@ -68,15 +68,6 @@ class BitVector(Value):
         _set(self, "length", length)
         _set(self, "bits", bits)
 
-    # The hot value class: its own comparison skips the generic field tuples.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bits == other.bits and self.length == other.length  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.bits))
-
     @classmethod
     def from_string(cls, text: str) -> "BitVector":
         if bad := text.strip("01"):  # starts at the first character that is neither
@@ -275,20 +266,18 @@ def row_reduce(a: BitMatrix) -> tuple[BitMatrix, list[int]]:
     return BitMatrix(a.rows, a.cols, tuple(words)), pivots
 
 
+def null_space(words: Sequence[int], pivots: Sequence[int], cols: int) -> list[int]:
+    """A basis of the null space of rows reduced by `eliminate` (pivot i in row i),
+    as ints: per free column f, bit f plus the pivot bit of every row holding f."""
+    free = sorted(set(range(cols)) - set(pivots))
+    return [(1 << f) | sum(1 << p for w, p in zip(words, pivots) if w >> f & 1) for f in free]
+
+
 def null_space_basis(a: BitMatrix) -> list[BitVector]:
     """A basis of {x : a @ x = 0}, one vector per free column."""
-    rref, pivots = row_reduce(a)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(a.cols):
-        if f in pivot_set:
-            continue
-        bits = 1 << f
-        for r, p in enumerate(pivots):
-            if (rref.row_words[r] >> f) & 1:
-                bits |= 1 << p
-        basis.append(BitVector(a.cols, bits))
-    return basis
+    words = list(a.row_words)
+    pivots = eliminate(words, range(a.cols))
+    return [BitVector(a.cols, v) for v in null_space(words, pivots, a.cols)]
 
 
 class Gf2Poly(Value):
@@ -425,8 +414,4 @@ def super_transpose(m: SuperMatrix) -> SuperMatrix:
 
 def super_equal(a: SuperMatrix, b: SuperMatrix, structural: bool = False) -> bool:
     """Body equality; with structural=True the cut lists must match too."""
-    if a.body != b.body:
-        return False
-    if structural:
-        return a.row_cuts == b.row_cuts and a.col_cuts == b.col_cuts
-    return True
+    return a == b if structural else a.body == b.body

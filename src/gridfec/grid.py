@@ -48,12 +48,12 @@ class GridCodeword(Value):
     cells: Cells
 
     def __init__(self, cells: Cells) -> None:
+        if not cells or not cells[0] or any(len(r) != len(cells[0]) for r in cells):
+            raise GridError("cell rows must be non-empty and rectangular")
         _set(self, "cells", cells)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Optional[BitVector]]]) -> "GridCodeword":
-        if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
-            raise GridError("cell rows must be non-empty and rectangular")
         return cls(tuple(tuple(r) for r in rows))
 
     @classmethod

@@ -21,6 +21,7 @@ from .gf2 import (
     eliminate,
     mat_mul,
     mat_vec,
+    null_space,
     null_space_basis,
     rank,
     transpose,
@@ -123,8 +124,9 @@ class LinearCode:
         self.h = h
         self.n = h.cols
         words = list(h.row_words)
+        self._pivots = eliminate(words, range(h.cols))
         # H's independent rows, reduced: a basis of the dual code, as ints.
-        self._dual_basis = tuple(words[:len(eliminate(words, range(h.cols)))])
+        self._dual_basis = tuple(words[:len(self._pivots)])
         self.k = h.cols - len(self._dual_basis)
         if g is not None:
             if g.cols != self.n:
@@ -190,10 +192,11 @@ class LinearCode:
 
     @cached_property
     def _basis(self) -> tuple[int, ...]:
-        """A basis of the code, as ints: the rows of the given G, else the null space of H."""
+        """A basis of the code, as ints: the rows of the given G, else the null space of
+        H, read from its reduced rows and pivots."""
         if self._g is not None:
             return self._g.row_words
-        return tuple(v.bits for v in null_space_basis(self.h))
+        return tuple(null_space(self._dual_basis, self._pivots, self.n))
 
     # -- standard form ----------------------------------------------------
 
@@ -217,10 +220,8 @@ class LinearCode:
                     f"column {j} admits no pivot: H is not row-reducible to (A, I) "
                     "without column swaps")
         h_std = BitMatrix(m, self.n, tuple(words[:m]))
-        a = BitMatrix(m, self.k, tuple(w & ((1 << self.k) - 1) for w in words[:m]))
-        at = transpose(a)
-        g_words = tuple((1 << i) | (at.row_words[i] << self.k) for i in range(self.k))
-        g_std = BitMatrix(self.k, self.n, g_words)
+        # The free columns are 0 .. k-1, so the null space is (I_k, A^T) row by row.
+        g_std = BitMatrix(self.k, self.n, tuple(null_space(words[:m], pivots, self.n)))
         return h_std, g_std
 
     # -- distances ---------------------------------------------------------

@@ -134,11 +134,8 @@ class SuperRowCode(_SuperCode):
         return sum(c.min_distance() for c in self.components)
 
     def dual(self) -> "SuperRowCode":
-        """Componentwise duals; exists only when every n_i = 2 k_i and the
-        lengths all agree."""
-        lengths = {c.n for c in self.components}
-        if len(lengths) != 1:
-            raise CompositionError("dual requires all component lengths equal")
+        """Componentwise duals; exists only when every n_i = 2 k_i.  The components
+        share one check count m, so every length is then 2m."""
         for i, c in enumerate(self.components):
             if c.n != 2 * c.k:
                 raise CompositionError(f"component {i} has n={c.n} != 2k={2 * c.k}")

@@ -16,6 +16,7 @@ from gridfec.gf2 import (
     null_space_basis,
     poly_divide,
     rank,
+    row_reduce,
     super_equal,
     super_transpose,
     transpose,
@@ -377,6 +378,28 @@ class TestNullSpace:
 
     def test_basis_size(self):
         assert len(null_space_basis(H_121)) == 3
+
+    def test_matches_frozen_loop(self):
+        rng = random.Random(22)
+        for _ in range(500):
+            mat = _random_matrix(rng, rng.randint(0, 10), rng.randint(0, 12))
+            assert null_space_basis(mat) == _null_space_reference(mat)
+
+
+def _null_space_reference(a: BitMatrix) -> list[BitVector]:
+    """The per-column loop that `null_space_basis` replaced, kept as its oracle."""
+    rref, pivots = row_reduce(a)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(a.cols):
+        if f in pivot_set:
+            continue
+        bits = 1 << f
+        for r, p in enumerate(pivots):
+            if (rref.row_words[r] >> f) & 1:
+                bits |= 1 << p
+        basis.append(BitVector(a.cols, bits))
+    return basis
 
 
 def _random_matrix(rng: random.Random, rows: int, cols: int) -> BitMatrix:

@@ -140,6 +140,15 @@ class TestEncodeSyndromeDecode:
         assert decoded.cells[0][1] is None and errors.cells[0][1] is None
 
 
+class TestGridCodewordShape:
+    @pytest.mark.parametrize("cells", [((BV("1"), BV("1")), (BV("1"),)), (), ((),)],
+                             ids=["ragged", "no rows", "empty row"])
+    def test_ragged_or_empty_cells_refused(self, cells):
+        for build in (GridCodeword, GridCodeword.from_rows):
+            with pytest.raises(GridError, match="non-empty and rectangular"):
+                build(cells)
+
+
 class TestStreams:
     def test_worked_row_stream(self):
         word = grid_331().from_row_stream(ROW_STREAM_331)

@@ -6,8 +6,17 @@ from math import comb
 
 import pytest
 
-from gridfec.gf2 import BitMatrix, BitVector, mat_mul, mat_vec, mat_vec_bits, transpose
-from gridfec import linear
+from gridfec.gf2 import (
+    BitMatrix,
+    BitVector,
+    eliminate,
+    mat_mul,
+    mat_vec,
+    mat_vec_bits,
+    null_space_basis,
+    transpose,
+)
+from gridfec import gf2, linear
 from gridfec.linear import MAX_CODE_LENGTH, CapacityError, CodeError, LinearCode
 
 BV = BitVector.from_string
@@ -124,7 +133,58 @@ class TestFromGenerator:
         assert mat_mul(c.generator(), transpose(c.h)).is_zero()
 
 
+def _standard_reference(h: BitMatrix, k: int):
+    """The (A, I) / (I_k, A^T) construction that `_standard` replaced, kept as its
+    oracle; None where H needs column swaps."""
+    n, m = h.cols, h.cols - k
+    words = list(h.row_words)
+    pivots = eliminate(words, range(k, n))
+    if any(j not in pivots for j in range(k, n)):
+        return None
+    h_std = BitMatrix(m, n, tuple(words[:m]))
+    a = BitMatrix(m, k, tuple(w & ((1 << k) - 1) for w in words[:m]))
+    at = transpose(a)
+    g_words = tuple((1 << i) | (at.row_words[i] << k) for i in range(k))
+    return h_std, BitMatrix(k, n, g_words)
+
+
+def random_systematic_h(rng: random.Random) -> BitMatrix:
+    """(A | I_m) with its rows mixed, sometimes with one dependent row appended."""
+    n = rng.randint(1, 12)
+    m = rng.randint(1, n)
+    k = n - m
+    words = [rng.getrandbits(k) | (1 << (k + r)) for r in range(m)]
+    for _ in range(2 * m):
+        i, j = rng.randrange(m), rng.randrange(m)
+        if i != j:
+            words[i] ^= words[j]
+    if rng.random() < 0.3 and m < n:
+        words.append(words[0] ^ words[-1])
+    return BitMatrix(len(words), n, tuple(words))
+
+
 class TestStandardize:
+    def test_matches_frozen_construction(self):
+        rng = random.Random(22)
+        for _ in range(400):
+            h = random_systematic_h(rng)
+            code = LinearCode.from_parity(h)
+            want = _standard_reference(h, code.k)
+            assert want is not None
+            assert code.standardize() == want
+            assert code.generator() == want[1]
+
+    def test_refusals_match_frozen_construction(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            code = random_code(rng, max_n=9)
+            want = _standard_reference(code.h, code.k)
+            if want is None:
+                with pytest.raises(CodeError, match="admits no pivot"):
+                    code.standardize()
+            else:
+                assert code.standardize() == want
+
     def test_recovers_canonical_generator(self):
         h_std, g_std = LinearCode.from_parity(H_121).standardize()
         assert g_std == G_124
@@ -167,14 +227,45 @@ class TestCodeBasis:
     def test_null_space_found_once(self, monkeypatch):
         from gridfec.families import hamming
         calls = []
-        real = linear.null_space_basis
-        monkeypatch.setattr(linear, "null_space_basis", lambda a: calls.append(a) or real(a))
+        real = linear.null_space
+        monkeypatch.setattr(linear, "null_space", lambda *a: calls.append(a) or real(*a))
         c = hamming(3)
         for _ in range(2):
             c.dual()
             assert not c.is_cyclic()
         assert len(c.codewords) == 16
         assert len(calls) == 1
+
+    def test_no_elimination_after_construction(self, monkeypatch):
+        # The basis comes from the pivots of the one elimination in __init__.
+        from gridfec.families import hamming
+        calls = []
+        for module in (gf2, linear):  # rank() reads gf2's name, __init__ linear's
+            monkeypatch.setattr(module, "eliminate",
+                                lambda w, cols, real=eliminate: calls.append(w) or real(w, cols))
+        c = hamming(3)
+        calls.clear()
+        assert c._basis and len(c.codewords) == 16 and not c.is_cyclic()
+        assert calls == []
+        # dual() runs only the eliminations of building its result.
+        c = hamming(3)
+        calls.clear()
+        d = c.dual()
+        used_by_dual = len(calls)
+        calls.clear()
+        LinearCode(d.h, d.generator())
+        assert used_by_dual == len(calls)
+
+    def test_basis_is_the_null_space_of_h(self):
+        rng = random.Random(24)
+        for _ in range(300):
+            code = random_code(rng)
+            assert code._basis == tuple(v.bits for v in null_space_basis(code.h))
+            members = [x for x in range(1 << code.n) if not mat_vec_bits(code.h.row_words, x)]
+            assert code.codewords == frozenset(BitVector(code.n, x) for x in members)
+            dual = code.dual()
+            assert dual.h.row_words == code._basis
+            assert dual.generator().row_words == code._dual_basis
 
 
 class TestEncode:

@@ -208,6 +208,13 @@ class TestRowDual:
         with pytest.raises(CompositionError):
             SuperRowCode([hamming(3), hamming(3)]).dual()
 
+    def test_mixed_lengths_rejected_by_the_first_bad_component(self):
+        # (7, 4) and (6, 3) share m = 3; the n = 2k rule alone refuses them.
+        six_three = LinearCode.from_parity(BM(["110100", "011010", "101001"]))
+        assert (six_three.n, six_three.k) == (6, 3)
+        with pytest.raises(CompositionError, match=r"^component 0 has n=7 != 2k=8$"):
+            SuperRowCode([hamming(3), six_three]).dual()
+
     def test_member_pairs_orthogonal_per_segment(self):
         c = LinearCode.from_parity(BM(["1010", "1101"]))
         rc = SuperRowCode([c, c])

@@ -109,11 +109,13 @@ def test_defaults():
 
 
 def test_import_loads_neither_dataclasses_nor_fractions():
-    # Both cost start-up time on every command; neither is needed to import.
+    # Each costs start-up time on every command, and none is needed to import;
+    # importlib.resources only for load_stencil.  -S keeps `site`, which may load
+    # some of them itself, out of the probe.
     env = dict(os.environ, PYTHONPATH=str(Path(gridfec.__file__).parents[1]))
-    probe = ("import sys, gridfec, gridfec.cli; "
-             "print(sorted({'dataclasses', 'fractions'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+    probe = ("import sys, gridfec, gridfec.cli; print(sorted("
+             "{'dataclasses', 'fractions', 'importlib.resources'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
