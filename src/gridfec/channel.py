@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 
 from .gf2 import BitVector, Gf2Error, Value, _set, mat_vec_bits
 from .grid import GridCode, GridCodeword, arbitrate, vote
+from .linear import CodeError
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -39,8 +40,9 @@ _BLOCK_SLOTS = 8192  # streams drawn per kernel call: 128 KiB per slot int
 STRATEGIES = ("per_cell_decode", "majority_vote", "simultaneous")
 
 
-class ChannelError(ValueError):
-    """Raised on invalid channel configuration or simulation input."""
+class ChannelError(CodeError):
+    """Raised on invalid channel configuration or simulation input; a CodeError,
+    so that callers that never load this module can still catch it."""
 
 
 class ChannelConfig(Value):

@@ -14,28 +14,19 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .approx import ApproxDecodeError, approx_decode
-from .channel import STRATEGIES, ChannelConfig, ChannelError, run_trial
 from .gf2 import BitVector, Gf2Error
-from .grid import (
-    GridCode,
-    GridCodeword,
-    TrueChart,
-    apply_chart,
-    apply_mask,
-    load_stencil,
-    mask_from_ap,
-)
 from .linear import CapacityError, CodeError, LinearCode
-from .specio import (
-    AnyCode,
-    SpecError,
-    parse_spec,
-    parse_super_word,
-    to_super_codeword,
-)
-from .super_codes import SuperColumnCode, SuperRowCode
+from .specio import SpecError, parse_spec, parse_super_word, to_super_codeword
+
+# The grid, super and sim verbs import the modules they run, so that a
+# single-code command loads none of grid, super_codes or channel.
+if TYPE_CHECKING:
+    from .grid import GridCode, GridCodeword
+    from .specio import AnyCode
+    from .super_codes import SuperColumnCode, SuperRowCode
 
 DETECTED_ERROR = 1
 USAGE_ERROR = 2
@@ -58,8 +49,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return BROKEN_PIPE
-    except (SpecError, CodeError, ChannelError, Gf2Error,
-            ApproxDecodeError, OSError) as exc:
+    except (SpecError, CodeError, Gf2Error, ApproxDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
@@ -136,7 +126,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True, help="bit flip probability")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strategy", required=True, choices=STRATEGIES)
+    # No `choices`: they would load channel for every command.  run_trial refuses a
+    # name outside channel.STRATEGIES; a test keeps this metavar equal to that list.
+    p.add_argument("--strategy", required=True,
+                   metavar="{per_cell_decode,majority_vote,simultaneous}")
     return parser
 
 
@@ -147,12 +140,16 @@ def _expect_linear(code: AnyCode) -> LinearCode:
 
 
 def _expect_super(code: AnyCode):
+    from .super_codes import SuperColumnCode, SuperRowCode
+
     if not isinstance(code, (SuperRowCode, SuperColumnCode)):
         raise SpecError("this command needs a row or column composition spec")
     return code
 
 
 def _expect_grid(code: AnyCode) -> GridCode:
+    from .grid import GridCode
+
     if isinstance(code, LinearCode):
         return GridCode([[code]])
     if not isinstance(code, GridCode):
@@ -192,8 +189,11 @@ def _code_info(c: LinearCode, args) -> int:
     print(f"check symbols: {c.n - c.k}")
     _print_rate(c.k, c.n)
     try:
-        print(f"min distance: {c.min_distance()}")
-        print(f"corrects up to: {c.error_capability()} errors")
+        if not c.k:
+            print("min distance: undefined (the zero code has no nonzero codeword)")
+        else:
+            print(f"min distance: {c.min_distance()}")
+            print(f"corrects up to: {c.error_capability()} errors")
     except CapacityError:
         print("min distance: skipped (code too large to enumerate)")
     if c.k <= _WORD_LIST_CAP:
@@ -223,6 +223,8 @@ def _code_decode(c: LinearCode, args) -> int:
 
 
 def _super_new(sc: SuperRowCode | SuperColumnCode, args) -> int:
+    from .super_codes import SuperRowCode
+
     shape = "row" if isinstance(sc, SuperRowCode) else "column"
     print(f"{shape} composition of {len(sc)} components")
     for i, c in enumerate(sc.components):
@@ -250,6 +252,8 @@ def _super_rate(sc: SuperRowCode | SuperColumnCode, args) -> int:
 
 
 def _super_dual(sc: SuperRowCode | SuperColumnCode, args) -> int:
+    from .super_codes import SuperRowCode
+
     if not isinstance(sc, SuperRowCode):
         raise SpecError("dual is defined for row compositions")
     dual = sc.dual()
@@ -310,6 +314,8 @@ def _grid_reconcile(grid: GridCode, args) -> int:
 
 
 def _grid_chart(grid: GridCode, args) -> int:
+    from .grid import TrueChart, apply_chart
+
     word = _read_stream(args, grid)
     chart = TrueChart.from_text(_read_text(args.chart_file))
     for cell in apply_chart(word, chart):
@@ -318,6 +324,8 @@ def _grid_chart(grid: GridCode, args) -> int:
 
 
 def _grid_mask(grid: GridCode, args) -> int:
+    from .grid import apply_mask, load_stencil, mask_from_ap
+
     word = _read_stream(args, grid)
     progression = (args.first, args.diff, args.last)
     if args.stencil is not None:
@@ -337,6 +345,9 @@ def _grid_mask(grid: GridCode, args) -> int:
 
 
 def _sim_run(grid: GridCode, args) -> int:
+    from .channel import ChannelConfig, run_trial
+    from .grid import GridCodeword
+
     if args.fill is not None:
         cell = BitVector.from_string(args.fill)
         sent = GridCodeword.from_rows([[cell] * grid.n for _ in range(grid.m)])

@@ -8,7 +8,8 @@ of every immutable value class in the package.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 _set = object.__setattr__  # how a value's own __init__ sets its fields
 
@@ -27,24 +28,30 @@ class Value:
     """
 
     __slots__ = ()
+    _values: Callable[["Value"], tuple]  # the field tuple, set per subclass
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        # attrgetter of one name gives the bare field; wrap it so that every
+        # value compares and hashes as its field tuple.
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda v: (get(v),))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()  # type: ignore[attr-defined]
+        values = self._values
+        return values(self) == values(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
-        return self.__class__, self._values()
+        return self.__class__, self._values(self)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")

@@ -21,6 +21,7 @@ from .gf2 import (
     eliminate,
     mat_mul,
     mat_vec,
+    mat_vec_bits,
     null_space,
     null_space_basis,
     rank,
@@ -135,7 +136,8 @@ class LinearCode:
                 raise CodeError("generator matrix has dependent rows")
             if g.rows != self.k:
                 raise CodeError(f"generator has {g.rows} rows but the code has dimension {self.k}")
-            if not mat_mul(g, transpose(h)).is_zero():
+            # G is orthogonal to H iff every row of G has a zero syndrome.
+            if any(mat_vec_bits(h.row_words, w) for w in g.row_words):
                 raise CodeError("generator and parity-check matrices are not orthogonal")
         self._g = g
 
@@ -311,4 +313,7 @@ class LinearCode:
 
     def is_cyclic(self) -> bool:
         """True iff every codeword's cyclic shift is a codeword; by linearity, a basis suffices."""
-        return all(self.is_member(BitVector(self.n, w).shift_right()) for w in self._basis)
+        n, rows = self.n, self.h.row_words
+        # The right cyclic shift of w; for n = 1 it is w itself.
+        return not any(mat_vec_bits(rows, (w << 1 | w >> n - 1) & ((1 << n) - 1))
+                       for w in self._basis)

@@ -22,16 +22,21 @@ grid module reads and writes them.
 from __future__ import annotations
 
 import json
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from .families import CyclicSpec, cyclic_from_poly, hamming, parity_check, repetition
 from .gf2 import BitMatrix, BitVector, Gf2Error, Gf2Poly
-from .grid import GridCode, GridError, parse_segments
-from .grid import format_super_word as format_super_word  # re-exported
 from .linear import MAX_CODE_LENGTH, CodeError, LinearCode
-from .super_codes import SuperColumnCode, SuperCodeword, SuperRowCode
 
-AnyCode = Union[LinearCode, SuperRowCode, SuperColumnCode, GridCode]
+# The composition modules are imported where a composition or super word is
+# read, so that a single-code spec loads neither and a grid spec only grid.
+if TYPE_CHECKING:
+    from typing import Union
+
+    from .grid import GridCode
+    from .super_codes import SuperColumnCode, SuperCodeword, SuperRowCode
+
+    AnyCode = Union[LinearCode, SuperRowCode, SuperColumnCode, GridCode]
 
 
 class SpecError(ValueError):
@@ -103,6 +108,8 @@ def _parse_composition(doc: dict) -> AnyCode:
         raise SpecError("composition spec needs a 'cells' key")
     try:
         if shape == "grid":
+            from .grid import GridCode
+
             if (not isinstance(cells, list) or not cells
                     or any(not isinstance(r, list) for r in cells)):
                 raise SpecError("grid 'cells' must be an array of arrays")
@@ -112,6 +119,8 @@ def _parse_composition(doc: dict) -> AnyCode:
         if not isinstance(cells, list) or not cells:
             raise SpecError(f"{shape} 'cells' must be a non-empty array")
         codes = [resolve(e, f"cells[{i}]") for i, e in enumerate(cells)]
+        from .super_codes import SuperColumnCode, SuperRowCode
+
         return SuperRowCode(codes) if shape == "row" else SuperColumnCode(codes)
     except CodeError as exc:
         raise SpecError(str(exc)) from exc
@@ -147,6 +156,8 @@ def _capped(doc: dict, key: str, where: str) -> int:
 
 def parse_super_word(text: str) -> list[Optional[BitVector]]:
     """Split a '|'-separated word; the token '·' marks an absent cell."""
+    from .grid import GridError, parse_segments
+
     try:
         return parse_segments(text.strip(), what="super word")
     except (GridError, Gf2Error) as exc:
@@ -154,6 +165,8 @@ def parse_super_word(text: str) -> list[Optional[BitVector]]:
 
 
 def to_super_codeword(segments: list[Optional[BitVector]]) -> SuperCodeword:
+    from .super_codes import SuperCodeword
+
     if any(s is None for s in segments):
         raise SpecError("absent cells are only valid inside grid words")
     return SuperCodeword(tuple(segments))  # type: ignore[arg-type]

@@ -13,7 +13,7 @@ import pytest
 
 import gridfec
 from gridfec import linear
-from gridfec.channel import ChannelConfig, run_trial
+from gridfec.channel import STRATEGIES, ChannelConfig, run_trial
 from gridfec.cli import _build_parser, _print_rate, main
 from gridfec.gf2 import BitVector
 from gridfec.grid import GridCode, GridCodeword
@@ -96,6 +96,18 @@ class TestCodeCommands:
         assert rc == 2
         assert "vanishing projection" in capsys.readouterr().err
 
+    def test_info_on_the_zero_code(self, capsys, tmp_path):
+        # n = 1, k = 0: no minimum distance, and the zero word is its one codeword.
+        spec = tmp_path / "zero.json"
+        spec.write_text('{"kind": "parity", "rows": ["1"]}')
+        rc = main(["code", "info", "--spec", str(spec)])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert captured.out.splitlines() == [
+            "(n, k) = (1, 0)", "check symbols: 1", "rate: 0/1",
+            "min distance: undefined (the zero code has no nonzero codeword)",
+            "codewords: 0"]
+
     def test_info_golden_output(self, capsys):
         rc, out = run(capsys, "code", "info", "--spec", fx("ex_1_2_10.json"))
         assert rc == 0
@@ -159,6 +171,9 @@ REFUSALS = {
         ["grid", "decode", "--spec", fx("ex_3_1_8.json"), "--stream-file", "recv.txt"],
         {"recv.txt": "1011|11011\n"}),
     "super_dual_on_column_composition": (["super", "dual", "--spec", fx("ex_3_2_10.json")], {}),
+    "sim_run_with_an_unknown_strategy": (
+        ["sim", "run", "--spec", fx("hamming3.json"), "--fill", "0000000", "--p", "0.1",
+         "--trials", "1", "--strategy", "bogus"], {}),
     "sim_run_on_row_composition": (
         ["sim", "run", "--spec", fx("ex_3_1_8.json"), "--fill", "1011", "--p", "0.1",
          "--trials", "1", "--strategy", "per_cell_decode"], {}),
@@ -595,6 +610,20 @@ class TestSimCommand:
             f"trials: {r.trials}", f"decode_success: {r.decode_success}",
             f"undetected_error: {r.undetected_error}",
             f"residual_bit_errors: {r.residual_bit_errors}"]
+
+    def test_unknown_strategy_error_names_every_strategy(self, capsys):
+        rc = main(["sim", "run", "--spec", fx("hamming3.json"), "--fill", "0000000",
+                   "--p", "0.1", "--trials", "1", "--strategy", "bogus"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: unknown strategy 'bogus'")
+        assert all(name in err for name in STRATEGIES)
+
+    def test_help_names_every_strategy(self, capsys):
+        # The parser lists the strategies without importing channel; this keeps
+        # that list equal to channel.STRATEGIES.
+        with pytest.raises(SystemExit):
+            main(["sim", "run", "-h"])
+        assert "{" + ",".join(STRATEGIES) + "}" in capsys.readouterr().out
 
     def test_no_sent_word_exits_two(self, capsys):
         rc = main(["sim", "run", "--spec", fx("hamming3.json"), "--p", "0.1",

@@ -4,12 +4,11 @@ from pathlib import Path
 import pytest
 
 from gridfec.families import hamming
-from gridfec.grid import GridCode
+from gridfec.grid import GridCode, format_super_word
 from gridfec.linear import LinearCode
 from gridfec.specio import (
     MAX_CODE_LENGTH,
     SpecError,
-    format_super_word,
     parse_spec,
     parse_super_word,
     to_super_codeword,

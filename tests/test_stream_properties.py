@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from gridfec.families import parity_check
 from gridfec.gf2 import BitVector
-from gridfec.grid import GridCode, GridCodeword
-from gridfec.specio import format_super_word, parse_super_word
+from gridfec.grid import GridCode, GridCodeword, format_super_word
+from gridfec.specio import parse_super_word
 
 
 @st.composite

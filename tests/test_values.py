@@ -1,6 +1,7 @@
 """Value semantics of the immutable value classes, and the package's import footprint."""
 
 import copy
+import importlib
 import os
 import pickle
 import subprocess
@@ -108,14 +109,71 @@ def test_defaults():
     assert SuperMatrix(body, col_cuts=(1,)) == SuperMatrix(body, (), (1,))
 
 
-def test_import_loads_neither_dataclasses_nor_fractions():
-    # Each costs start-up time on every command, and none is needed to import;
-    # importlib.resources only for load_stencil.  -S keeps `site`, which may load
-    # some of them itself, out of the probe.
+def _loaded_after(probe: str) -> set[str]:
+    """The modules a fresh interpreter holds after running `probe`.
+
+    -S keeps `site`, which may load modules of its own, out of the probe."""
     env = dict(os.environ, PYTHONPATH=str(Path(gridfec.__file__).parents[1]))
-    probe = ("import sys, gridfec, gridfec.cli; print(sorted("
-             "{'dataclasses', 'fractions', 'importlib.resources'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+    code = f"import sys\n{probe}\nprint(' '.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_loads_neither_dataclasses_nor_fractions():
+    # Each costs start-up time on every command, and none is needed to import;
+    # importlib.resources only for load_stencil.
+    loaded = _loaded_after("import gridfec, gridfec.cli")
+    assert not {"dataclasses", "fractions", "importlib.resources"} & loaded
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+COMPOSITION_MODULES = {"gridfec.grid", "gridfec.super_codes", "gridfec.channel"}
+SINGLE_CODE_SPECS = [
+    '{"kind": "hamming", "m": 3}', '{"kind": "repetition", "n": 5}',
+    '{"kind": "parity_check", "n": 4}', '{"kind": "cyclic", "n": 7, "g": "1101"}',
+    '{"kind": "parity", "rows": ["110", "011"]}', '{"kind": "generator", "rows": ["111"]}',
+]
+
+
+def test_single_code_commands_load_no_composition_module():
+    spec = FIXTURES / "hamming3.json"
+    loaded = _loaded_after(
+        "import gridfec, gridfec.cli\n"
+        f"for text in {SINGLE_CODE_SPECS!r}: gridfec.parse_spec(text)\n"
+        f"gridfec.cli.main(['code', 'info', '--spec', {str(spec)!r}])\n"
+        f"gridfec.cli.main(['code', 'decode', '--spec', {str(spec)!r}, '--word', '1111110'])")
+    assert "gridfec.linear" in loaded
+    assert not COMPOSITION_MODULES & loaded
+
+
+def test_a_grid_spec_loads_grid_but_not_channel():
+    spec = FIXTURES / "hamming3_grid.json"
+    loaded = _loaded_after(f"import gridfec\ngridfec.parse_spec(open({str(spec)!r}).read())")
+    assert "gridfec.grid" in loaded
+    assert not {"gridfec.channel", "gridfec.super_codes"} & loaded
+
+
+def test_sim_run_loads_channel():
+    spec = FIXTURES / "hamming3.json"
+    loaded = _loaded_after(
+        "import gridfec.cli\n"
+        f"gridfec.cli.main(['sim', 'run', '--spec', {str(spec)!r}, '--fill', '0000000',"
+        " '--p', '0.1', '--trials', '3', '--strategy', 'per_cell_decode'])")
+    assert "gridfec.channel" in loaded
+
+
+def test_every_export_is_its_home_modules_object():
+    for name in gridfec.__all__:
+        home = importlib.import_module(f"gridfec.{gridfec._HOME[name]}")
+        assert getattr(gridfec, name) is getattr(home, name), name
+        assert name in dir(gridfec), name
+    with pytest.raises(AttributeError, match="has no attribute 'nonexistent'"):
+        gridfec.nonexistent  # noqa: B018
+
+
+def test_star_import_binds_every_export():
+    loaded = _loaded_after("from gridfec import *\nimport gridfec\n"
+                           "assert all(name in globals() for name in gridfec.__all__)")
+    assert COMPOSITION_MODULES <= loaded
