@@ -37,7 +37,15 @@ _WORD_LIST_CAP = 12  # max k for which codeword sets are printed in full
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # A known verb is parsed by its own parser, the one the full tree would hand
+    # its arguments to.  Anything left over goes back through the full tree,
+    # which alone prints unknown-verb and leftover-argument errors.
+    verb = _VERBS.get(tuple(argv[:2]))
+    args, rest = verb.parse_known_args(argv[2:]) if verb else (None, None)
+    if verb is None or rest:
+        args = parser.parse_args(argv)
     try:
         status = args.func(args.need(parse_spec(_read_text(args.spec))), args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
@@ -54,6 +62,10 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
 
 
+# (group, verb) -> the verb's parser, filled by _build_parser.
+_VERBS: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+
 @functools.cache  # one parser per process; parse_args returns a fresh Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -68,50 +80,51 @@ def _build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--by", choices=("row", "col"), default="row",
                         help="whether the stream lists rows or columns")
 
-    def verbs(name: str, help: str, need):
-        """A verb group; `main` hands its verbs the spec's code through `need`."""
-        group = sub.add_parser(name, help=help)
-        group.set_defaults(need=need)
-        return group.add_subparsers(required=True)
+    def verbs(group: str, help: str, need):
+        """A verb group's adder; `main` hands its verbs the spec's code through `need`."""
+        adder = sub.add_parser(group, help=help).add_subparsers(required=True)
 
-    def verb(group, name: str, func, help: str, parent=spec) -> argparse.ArgumentParser:
-        p = group.add_parser(name, help=help, parents=[parent])
-        p.set_defaults(func=func)
-        return p
+        def verb(name: str, func, help: str, parent=spec) -> argparse.ArgumentParser:
+            p = adder.add_parser(name, help=help, parents=[parent])
+            p.set_defaults(func=func, need=need)
+            _VERBS[group, name] = p
+            return p
+
+        return verb
 
     code = verbs("code", "single linear code operations", _expect_linear)
-    verb(code, "info", _code_info, "print code parameters")
-    p = verb(code, "encode", _code_encode, "encode a message")
+    code("info", _code_info, "print code parameters")
+    p = code("encode", _code_encode, "encode a message")
     p.add_argument("--message", required=True, help="message bits, length k")
-    p = verb(code, "decode", _code_decode, "decode a received word")
+    p = code("decode", _code_decode, "decode a received word")
     p.add_argument("--word", required=True, help="received bits, length n")
     p.add_argument("--strategy", choices=("coset", "approx"), default="coset")
 
     sup = verbs("super", "row/column composition operations", _expect_super)
-    verb(sup, "new", _super_new, "validate a composition and print a summary")
-    p = verb(sup, "encode", _super_encode, "encode per-component messages")
+    sup("new", _super_new, "validate a composition and print a summary")
+    p = sup("encode", _super_encode, "encode per-component messages")
     p.add_argument("--messages", required=True, help="'|'-separated messages")
-    p = verb(sup, "decode", _super_decode, "decode a received super word")
+    p = sup("decode", _super_decode, "decode a received super word")
     p.add_argument("--word", required=True, help="'|'-separated received word")
-    verb(sup, "rate", _super_rate, "print the transmission rate")
-    verb(sup, "dual", _super_dual, "print the componentwise dual")
+    sup("rate", _super_rate, "print the transmission rate")
+    sup("dual", _super_dual, "print the componentwise dual")
 
     grid = verbs("grid", "grid code operations", _expect_grid)
-    p = verb(grid, "encode", _grid_encode, "encode a message grid to a row stream")
+    p = grid("encode", _grid_encode, "encode a message grid to a row stream")
     p.add_argument("--messages-file", required=True, type=Path,
                    help="one '|'-separated message row per line")
-    verb(grid, "decode", _grid_decode, "decode a received stream per cell", stream)
-    p = verb(grid, "stream", _grid_stream,
+    grid("decode", _grid_decode, "decode a received stream per cell", stream)
+    p = grid("stream", _grid_stream,
              "re-serialize a stream between row and column order", stream)
     p.add_argument("--to", choices=("row", "col"), required=True)
-    verb(grid, "vote", _grid_vote, "majority vote over a uniform grid", stream)
-    p = verb(grid, "reconcile", _grid_reconcile, "merge row- and column-transmitted copies")
+    grid("vote", _grid_vote, "majority vote over a uniform grid", stream)
+    p = grid("reconcile", _grid_reconcile, "merge row- and column-transmitted copies")
     p.add_argument("--row-file", required=True, type=Path)
     p.add_argument("--col-file", required=True, type=Path)
-    p = verb(grid, "chart", _grid_chart, "select the cells a true chart marks", stream)
+    p = grid("chart", _grid_chart, "select the cells a true chart marks", stream)
     p.add_argument("--chart-file", required=True, type=Path,
                    help="'*'/'.' grid matching the code grid")
-    p = verb(grid, "mask", _grid_mask,
+    p = grid("mask", _grid_mask,
              "select cells by arithmetic progression or stencil", stream)
     p.add_argument("--first", type=int)
     p.add_argument("--diff", type=int)
@@ -119,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stencil", help="shipped stencil name: t, k or cross")
 
     sim = verbs("sim", "channel simulation", _expect_grid)
-    p = verb(sim, "run", _sim_run, "run Monte-Carlo trials of a decoding strategy")
+    p = sim("run", _sim_run, "run Monte-Carlo trials of a decoding strategy")
     sent = p.add_mutually_exclusive_group()  # optional: _sim_run reports neither given
     sent.add_argument("--fill", help="codeword repeated in every cell")
     sent.add_argument("--stream-file", type=Path, help="row stream of the sent grid word")

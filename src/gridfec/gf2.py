@@ -263,7 +263,19 @@ def eliminate(words: list[int], columns: Iterable[int]) -> list[int]:
 
 
 def rank(a: BitMatrix) -> int:
-    return len(eliminate(list(a.row_words), range(a.cols)))
+    """The number of independent rows.  Each row is reduced by the rows kept so
+    far, keyed by their leading bit, and kept if anything is left: one XOR per
+    kept row it meets, where `eliminate` clears a pivot from every row."""
+    kept: dict[int, int] = {}
+    for w in a.row_words:
+        while w:
+            lead = w.bit_length()
+            row = kept.get(lead)
+            if row is None:
+                kept[lead] = w
+                break
+            w ^= row
+    return len(kept)
 
 
 def row_reduce(a: BitMatrix) -> tuple[BitMatrix, list[int]]:

@@ -72,7 +72,7 @@ class TestPseudoBestApprox:
                 assert result in span
 
     def test_dependent_basis_rejected(self):
-        with pytest.raises(Gf2Error):
+        with pytest.raises(Gf2Error, match="^basis vectors are linearly dependent$"):
             Basis((BV("1010"), BV("0101"), BV("1111")))
 
     def test_mixed_lengths_rejected(self):

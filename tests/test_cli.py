@@ -14,6 +14,7 @@ import pytest
 import gridfec
 from gridfec import linear
 from gridfec.channel import STRATEGIES, ChannelConfig, run_trial
+from gridfec import cli
 from gridfec.cli import _build_parser, _print_rate, main
 from gridfec.gf2 import BitVector
 from gridfec.grid import GridCode, GridCodeword
@@ -255,6 +256,138 @@ class TestRefusals:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+# One worked command per verb, in the layout of REFUSALS.
+HAM3_MESSAGES = "1010|0110|1111\n0001|1110|1011\n0100|0010|1000\n"
+WORKED = {
+    "code_info": (["code", "info", "--spec", fx("ex_1_2_10.json")], {}),
+    "code_encode": (["code", "encode", "--spec", fx("ex_1_2_1.json"), "--message", "110"], {}),
+    "code_decode": (["code", "decode", "--spec", fx("ex_1_2_6.json"), "--word", "11110"], {}),
+    "code_decode_approx": (
+        ["code", "decode", "--spec", fx("ex_1_2_14.json"), "--word", "1111",
+         "--strategy", "approx"], {}),
+    "super_new": (["super", "new", "--spec", fx("ex_3_1_1.json")], {}),
+    "super_encode": (["super", "encode", "--spec", fx("ex_3_1_8.json"), "--messages", "10|110"],
+                     {}),
+    "super_decode": (["super", "decode", "--spec", fx("ex_3_1_8.json"), "--word", "1111|11111"],
+                     {}),
+    "super_rate": (["super", "rate", "--spec", fx("ex_3_2_10.json")], {}),
+    "super_dual": (["super", "dual", "--spec", fx("ex_4_8_row.json")], {}),
+    "grid_encode": (
+        ["grid", "encode", "--spec", fx("hamming3_grid.json"), "--messages-file", "msgs.txt"],
+        {"msgs.txt": HAM3_MESSAGES}),
+    "grid_decode": (
+        ["grid", "decode", "--spec", fx("hamming3_grid.json"), "--stream-file", "recv.txt"],
+        {"recv.txt": HAM3_STREAM}),
+    "grid_stream": (
+        ["grid", "stream", "--spec", fx("ex_3_3_1.json"), "--stream-file",
+         fx("ex_3_3_1_rows.txt"), "--to", "col"], {}),
+    "grid_vote": (
+        ["grid", "vote", "--spec", fx("hamming3_grid.json"), "--stream-file", "recv.txt"],
+        {"recv.txt": "0100101|0100101|1111111\n0100101|0000001|0100101\n"
+                     "0100101|0100101|0100101\n"}),
+    "grid_reconcile": (
+        ["grid", "reconcile", "--spec", fx("ex_3_3_1.json"), "--row-file",
+         fx("ex_3_3_1_rows.txt"), "--col-file", "cols.txt"],
+        {"cols.txt": "100001|111011|111100\n0100101|1010101|1111100\n"}),
+    "grid_chart": (
+        ["grid", "chart", "--spec", fx("hamming3_grid.json"), "--stream-file", "recv.txt",
+         "--chart-file", "chart.txt"], {"recv.txt": HAM3_STREAM, "chart.txt": "*.*\n.*.\n*.*\n"}),
+    "grid_mask_progression": (
+        ["grid", "mask", "--spec", fx("hamming3_grid.json"), "--stream-file", "recv.txt",
+         "--by", "col", "--first", "1", "--diff", "4", "--last", "9"], {"recv.txt": HAM3_STREAM}),
+    "grid_mask_stencil": (
+        ["grid", "mask", "--spec", "rep7x7.json", "--stream-file", "recv.txt",
+         "--stencil", "cross"], {"rep7x7.json": REP7X7, "recv.txt": REP7X7_STREAM}),
+    "sim_run": (
+        ["sim", "run", "--spec", fx("hamming3_grid.json"), "--fill", "1010101", "--p", "0.05",
+         "--trials", "50", "--seed", "7", "--strategy", "majority_vote"], {}),
+}
+
+# argv that argparse itself answers or refuses, at each level of the tree.
+INFO = ["code", "info", "--spec", fx("hamming3.json")]
+PARSER_EDGES = {
+    "no_arguments": ([], {}),
+    "top_help": (["-h"], {}),
+    "group_help": (["code", "--help"], {}),
+    "verb_help": (["code", "decode", "-h"], {}),
+    "verb_help_after_options": (INFO + ["--help"], {}),
+    "group_without_verb": (["grid"], {}),
+    "unknown_group": (["bogus", "info"], {}),
+    "unknown_verb": (["code", "bogus", "--spec", fx("hamming3.json")], {}),
+    "option_before_verb": (["code", "--spec", fx("hamming3.json"), "info"], {}),
+    "trailing_unknown_option": (INFO + ["--bogus"], {}),
+    "trailing_positional": (INFO + ["extra"], {}),
+    "unknown_option_and_bad_choice": (
+        ["code", "decode", "--spec", fx("hamming3.json"), "--word", "0", "--bogus",
+         "--strategy", "nope"], {}),
+    "abbreviated_option": (["code", "info", "--sp", fx("hamming3.json")], {}),
+    "ambiguous_abbreviation": (
+        ["grid", "mask", "--spec", fx("hamming3.json"), "--st", "recv.txt"], {}),
+    "missing_required_option": (["code", "encode", "--spec", fx("hamming3.json")], {}),
+    "bad_choice": (["code", "decode", "--spec", fx("hamming3.json"), "--word", "0",
+                    "--strategy", "nope"], {}),
+    "bad_type": (["sim", "run", "--spec", fx("hamming3.json"), "--fill", "0000000",
+                  "--p", "x", "--trials", "1", "--strategy", "majority_vote"], {}),
+    "exclusive_options": (["sim", "run", "--spec", fx("hamming3.json"), "--fill", "0000000",
+                           "--stream-file", "x", "--p", "0", "--trials", "1",
+                           "--strategy", "majority_vote"], {}),
+    "double_dash_at_end": (INFO + ["--"], {}),
+    "double_dash_before_options": (["code", "info", "--", "--spec", fx("hamming3.json")], {}),
+}
+DISPATCH_CORPUS = {**WORKED, **REFUSALS, **PARSER_EDGES}
+
+
+def outcome(capsys, argv) -> tuple[object, str, str]:
+    """main's exit status (returned or raised), stdout and stderr."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+class TestDirectDispatch:
+    """main parses a known verb with that verb's own parser; emptying the verb
+    table forces every argv through the full parser tree."""
+
+    @pytest.mark.parametrize("argv, files", WORKED.values(), ids=list(WORKED))
+    def test_a_worked_command_skips_the_full_tree(self, capsys, monkeypatch, tmp_path,
+                                                  argv, files):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+
+        def refuse(*args):
+            raise AssertionError("the full parser tree ran")
+
+        monkeypatch.setattr(_build_parser(), "parse_args", refuse)
+        rc, out, err = outcome(capsys, [str(tmp_path / a) if a in files else a for a in argv])
+        assert rc in (0, 1) and out and not err
+
+    @pytest.mark.parametrize("argv, files", DISPATCH_CORPUS.values(),
+                             ids=list(DISPATCH_CORPUS))
+    def test_same_outcome_as_the_full_tree(self, capsys, monkeypatch, tmp_path, argv, files):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        direct = outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_VERBS", {})
+        assert outcome(capsys, argv) == direct
+
+    def test_an_unknown_option_is_refused_by_the_top_parser(self, capsys):
+        rc, out, err = outcome(capsys, INFO + ["--bogus"])
+        assert (rc, out) == (2, "")
+        assert err.endswith("\ngridfec: error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize("extra", [[], ["--bogus"]], ids=["worked", "unknown_option"])
+    def test_argv_from_sys_argv(self, capsys, monkeypatch, extra):
+        monkeypatch.setattr(sys, "argv", ["gridfec", *INFO, *extra])
+        direct = outcome(capsys, None)
+        monkeypatch.setattr(cli, "_VERBS", {})
+        assert outcome(capsys, None) == direct
+        assert direct[0] == (2 if extra else 0)
 
 
 # argv per input-file flag: "bad.txt" starts with byte 0xff, and the other

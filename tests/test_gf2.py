@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gridfec.families import hamming, repetition
+from gridfec.families import CyclicSpec, cyclic_from_poly, hamming, repetition
 from gridfec.gf2 import (
     BitMatrix,
     BitVector,
@@ -246,6 +246,31 @@ class TestRank:
             expected = len(spanned).bit_length() - 1
             assert rank(a) == expected
             assert rank(a) == rank(transpose(a))
+
+    def test_counts_the_pivots_of_eliminate(self):
+        rng = random.Random(25)
+        draws = (lambda c: rng.getrandbits(c),
+                 lambda c: rng.getrandbits(c) & rng.getrandbits(c) & rng.getrandbits(c),
+                 lambda c: rng.getrandbits(c) | rng.getrandbits(c) | rng.getrandbits(c))
+        for trial in range(1200):
+            # Every third matrix is up to 1024 bits wide; the narrow ones often
+            # have more rows than columns.
+            cols = rng.randint(1, 1024) if trial % 3 == 0 else rng.randint(1, 16)
+            draw = rng.choice(draws)
+            words = [draw(cols) for _ in range(rng.randint(0, min(2 * cols, 24)))]
+            extra = rng.randint(0, 4)
+            if words:  # sums of two rows (zero when both picks agree) and repeats
+                words += [rng.choice(words) ^ rng.choice(words) for _ in range(extra)]
+                words += rng.choices(words, k=extra)
+            else:
+                words = [0] * extra
+            rng.shuffle(words)
+            a = BitMatrix(len(words), cols, tuple(words))
+            assert rank(a) == len(eliminate(list(words), range(cols)))
+
+    def test_long_cyclic_generator(self):
+        g = cyclic_from_poly(CyclicSpec(1023, Gf2Poly.from_string("11"))).generator()
+        assert rank(g) == len(eliminate(list(g.row_words), range(g.cols))) == 1022
 
 
 def _eliminate_reference(words: list[int], columns) -> list[int]:

@@ -128,6 +128,19 @@ class TestFromGenerator:
         with pytest.raises(CodeError):
             LinearCode.from_generator(BM(["101", "101"]))
 
+    def test_eliminates_g_and_h_once_each(self, monkeypatch):
+        """G's rows are eliminated only for its null space; its rank takes no elimination."""
+        rows = []
+
+        def counted(words, columns):
+            rows.append(len(words))
+            return eliminate(words, columns)
+
+        monkeypatch.setattr(gf2, "eliminate", counted)
+        monkeypatch.setattr(linear, "eliminate", counted)
+        LinearCode.from_generator(G_124)
+        assert rows == [3, 4]
+
     def test_gh_orthogonal(self):
         c = LinearCode.from_generator(G_128)
         assert mat_mul(c.generator(), transpose(c.h)).is_zero()
