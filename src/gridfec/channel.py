@@ -8,13 +8,15 @@ corrupted outputs are bit-identical across runs and platforms.  The stream of ce
 state and mixes, one index at a time; trial order is therefore irrelevant and
 trials are safely parallelizable.
 
-The streams are independent, so they are drawn side by side: one Python int
-holds a 128-bit slot per stream, the 64-bit state in bits 0-63 and a guard
-in bit 64, and each shift, mask and multiplication of the generator acts on
-every slot at once (SIMD within a register).  `run_trial` puts stream
-(t, i, j, c) of a block of trials in slot ((t * m + i) * n + j) * copies + c;
-`bsc_corrupt` is the same kernel with one slot.  The stream each cell sees,
-and so every simulated count, is that of the one-stream-at-a-time loop.
+The streams are independent, so they are drawn side by side: one "dense"
+Python int holds a 64-bit slot per stream, stream k in bits 64k to 64k + 63,
+and each step of the generator acts on every slot at once (SIMD within a
+register).  Shifts are masked to their slots, and adds and multiplications
+are split so that no carry or product reaches the next slot (`_Lanes`).
+`run_trial` puts stream (t, i, j, c) of a block of trials in slot
+((t * m + i) * n + j) * copies + c; `bsc_corrupt` is the same kernel with
+one slot.  The stream each cell sees, and so every simulated count, is that
+of the one-stream-at-a-time loop.
 
 Because the first fold sees only master + t, trial t of master seed s + 1
 draws exactly the streams of trial t + 1 of seed s: runs of N trials at seeds
@@ -34,8 +36,8 @@ from .linear import CodeError
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_SLOT_BYTES = 16  # a 64-bit value, guard bit 64, and room for a 128-bit product
-_BLOCK_SLOTS = 8192  # streams drawn per kernel call: 128 KiB per slot int
+_SLOT_BYTES = 8  # one 64-bit value per slot; sums and products spill into the next
+_BLOCK_SLOTS = 8192  # streams drawn per kernel call: 64 KiB per slot int
 
 STRATEGIES = ("per_cell_decode", "majority_vote", "simultaneous")
 
@@ -80,75 +82,118 @@ class TrialReport(Value):
         return self.trials - self.decode_success
 
 
-def _mix64(z: int, lanes: int = _M64) -> int:
-    """splitmix64 finalizer of a word, or of every slot of a slot int.
+class _Lanes:
+    """The constants of a dense int of `slots` 64-bit slots, built per kernel call.
 
-    `lanes` is `_M64` for one word, or `_slots((_M64,), count)` to mix the
-    64-bit values of `count` slots at once.
+    A shift is masked to the low bits of every slot (`low`): after a right
+    shift, before a left one.  A 64 x 64-bit product spills into the next
+    slot, so `times` multiplies the even and the odd slots apart: each spill
+    lands in a slot that is zero in that operand.
     """
-    z &= lanes
-    z = (z ^ z >> 30 & lanes) * 0xBF58476D1CE4E5B9 & lanes
-    z = (z ^ z >> 27 & lanes) * 0x94D049BB133111EB & lanes
-    return z ^ z >> 31 & lanes
+
+    __slots__ = ("even", "odd", "ones", "low")
+
+    def __init__(self, slots: int) -> None:
+        pairs = (b"\xff" * _SLOT_BYTES + bytes(_SLOT_BYTES)) * (slots + 1 >> 1)
+        self.even = even = int.from_bytes(pairs[:_SLOT_BYTES * slots], "little")
+        self.odd = odd = (1 << 64 * slots) - 1 ^ even
+        self.ones = ones = even >> 63 & even | odd >> 63 & odd
+        # low[b]: the low b bits of every slot; low[39] >> k keeps none of the next slot's.
+        self.low = low = {b: (ones << b) - ones for b in (39, 52, 63)}
+        low.update({b: low[39] >> 39 - b & low[39] for b in (33, 34, 37)})
+
+    def times(self, z: int, c: int) -> int:
+        """Every slot of z times the 64-bit constant c, modulo 2**64."""
+        e = z & self.even
+        return e * c & self.even | (z ^ e) * c & self.odd
+
+    def plus(self, z: int, y: int) -> int:
+        """The slotwise sum of z and y, modulo 2**64: bit 63 of each slot is
+        the carry of the low 63 bits' sum, xor both bits 63."""
+        low = self.low[63]
+        x = z ^ y
+        return (z & low) + (y & low) ^ x ^ x & low
+
+
+def _mix64(z: int, lanes: _Lanes = _Lanes(1)) -> int:
+    """splitmix64 finalizer of a 64-bit word, or of every slot of a dense int."""
+    low = lanes.low
+    z = lanes.times(z ^ z >> 30 & low[34], 0xBF58476D1CE4E5B9)
+    z = lanes.times(z ^ z >> 27 & low[37], 0x94D049BB133111EB)
+    return z ^ z >> 31 & low[33]
 
 
 def derive_seed(master: int, *indices: int) -> int:
     """Fold trial/cell indices into the master seed: add each index, then mix."""
     state = master & _M64
     for v in indices:
-        state = _mix64(state + _GAMMA + v)
+        state = _mix64(state + _GAMMA + v & _M64)
     return state
 
 
-def _slots(pattern: Iterable[int], repeats: int) -> int:
-    """A slot int holding the words of `pattern`, one per slot, `repeats` times over."""
-    image = b"".join(w.to_bytes(_SLOT_BYTES, "little") for w in pattern)
-    return int.from_bytes(image * repeats, "little")
+def _dense(words: Sequence[int], repeats: int = 1) -> int:
+    """The dense int holding `words`, one per slot, `repeats` times over."""
+    return int.from_bytes(struct.pack(f"<{len(words)}Q", *words) * repeats, "little")
 
 
 def _flip_masks(seeds: int, lengths: Sequence[int], repeats: int, threshold: int,
-                lanes: int) -> list[int]:
+                lanes: _Lanes) -> list[int]:
     """The flip masks of many xorshift64* streams, all drawn at once.
 
-    Slot k of the slot int `seeds` holds a stream seed; with L = len(lengths),
+    Slot k of the dense int `seeds` holds a stream seed; with L = len(lengths),
     mask k has bit d set iff draw d < lengths[k % L] of that stream is below
-    `threshold`, for k < L * repeats.  `lanes` holds `_M64` in each of those
-    slots; callers pass the one they already hold.  Every slot advances by
-    the same shifts, masks and one multiplication, so each mask is bit for
-    bit the scalar stream's.  A draw is at or above the threshold iff adding
-    2**64 - threshold carries into the slot's guard bit 64, so a clear guard
-    bit is a flip; at p = 1, where the threshold is 2**64, nothing carries.
+    `threshold`, for k < L * repeats, the slots of `lanes`.  Every slot
+    advances by the same masked shifts and split multiplication, so each
+    mask is bit for bit the scalar stream's.
     """
     slots = len(lengths) * repeats
-    ones = _slots((1,), slots)
-    guard = ones << 64
-    bound = ones * ((1 << 64) - threshold)
+    ones, low = lanes.ones, lanes.low
+    low63 = low[63]
+    top = ones << 63
     s = _mix64(seeds, lanes)
     # A zero state would stay zero: such a stream starts at _GAMMA instead.
-    zero = guard ^ (s + lanes) & guard
-    if zero:
-        s |= (zero >> 64) * _GAMMA
+    nonzero = (s & low63) + low63 | s
+    if nonzero & top != top:
+        s |= ((top ^ nonzero & top) >> 63) * _GAMMA
+    # A draw flips iff it plus 2**64 - threshold carries out of no slot: the
+    # low 63 bits' carry, or-ed with the draw's bit 63 if the bound has bit 63
+    # and and-ed if not.  Draws are nonzero, so threshold 0 acts as 1.
+    bound = (1 << 64) - max(threshold, 1)
+    bound_low = ones * (bound & low63)
     longest = max(lengths, default=0)
     uneven = any(n != longest for n in lengths)
-    images = []  # per chunk of 128 draws, every slot's 16 mask bytes
-    for base in range(0, longest, 128):
-        draws = min(128, longest - base)
+    images = []  # per chunk of 64 draws, every slot's 8 mask bytes
+    for base in range(0, longest, 64):
+        draws = min(64, longest - base)
         kept = 0  # bit d of a slot: draw base + d did not flip
         for d in range(draws):
-            s ^= s >> 12 & lanes
-            s ^= s << 25 & lanes
-            s ^= s >> 27 & lanes
-            above = (s * 0x2545F4914F6CDD1D & lanes) + bound & guard
-            kept |= above >> 64 - d if d < 64 else above << d - 64
-        flips = ones * ((1 << draws) - 1) ^ kept
-        if uneven:  # only the draws each slot's length asks for
-            flips &= _slots(((1 << min(max(n - base, 0), 128)) - 1 for n in lengths), repeats)
-        images.append(flips.to_bytes(_SLOT_BYTES * slots, "little"))
+            s ^= s >> 12 & low[52]
+            s ^= (s & low[39]) << 25
+            s ^= s >> 27 & low[37]
+            draw = lanes.times(s, 0x2545F4914F6CDD1D)
+            below = (draw & low63) + bound_low
+            kept |= ((below | draw if bound >> 63 else below & draw) & top) >> 63 - d
+        # Only the draws each slot's length asks for.
+        wanted = _dense([(1 << min(max(n - base, 0), 64)) - 1 for n in lengths], repeats) \
+            if uneven else lanes.ones * ((1 << draws) - 1)
+        images.append((wanted ^ kept & wanted).to_bytes(_SLOT_BYTES * slots, "little"))
     if 0 < longest <= 64:
-        return list(struct.unpack(f"<{2 * slots}Q", images[0])[0::2])
+        return list(struct.unpack(f"<{slots}Q", images[0]))
     # A slot's mask is its chunks in draw order, joined once.
     return [int.from_bytes(b"".join(image[k:k + _SLOT_BYTES] for image in images), "little")
             for k in range(0, _SLOT_BYTES * slots, _SLOT_BYTES)]
+
+
+def _repeat_slots(z: int, count: int, repeats: int) -> int:
+    """The dense int holding each of the `count` slots of `z` in `repeats` slots in a row;
+    the arrays only copy 8-byte words of a little-endian image, whatever the byte order."""
+    if repeats == 1:
+        return z
+    words = array("Q", z.to_bytes(_SLOT_BYTES * count, "little"))
+    out = array("Q", bytes(_SLOT_BYTES * count * repeats))
+    for k in range(repeats):
+        out[k::repeats] = words
+    return int.from_bytes(out.tobytes(), "little")
 
 
 def _trial_masks(master: int, trials: range, m: int, lengths: Sequence[int], copies: int,
@@ -157,53 +202,20 @@ def _trial_masks(master: int, trials: range, m: int, lengths: Sequence[int], cop
 
     Slot ((r * m + i) * n + j) * copies + c holds the stream of
     derive_seed(master, trials[r], i, j, c), so its mask is that of
-    `bsc_corrupt` seeded by it.  Every fold runs on slot ints: the trial
-    fold on one slot per trial, the row fold on one per (trial, row), and
-    the column and copy folds on all slots at once.
+    `bsc_corrupt` seeded by it.  Each fold repeats every slot of the state
+    once per value of its index, adds _GAMMA + index and mixes; the folds
+    before the last run on fewer slots than `lanes`, whose masks they cut.
     """
-    seeds, lanes = _trial_seeds(master, trials, m, len(lengths), copies)
-    return _flip_masks(seeds, [length for length in lengths for _ in range(copies)],
-                       len(trials) * m, threshold, lanes)
-
-
-def _low_words(values: int, count: int) -> array:
-    """Bits 0-63 of the first `count` slots of a slot int, as 8-byte words of
-    its little-endian image."""
-    return array("Q", values.to_bytes(_SLOT_BYTES * count, "little"))[0::2]
-
-
-def _repeat_slots(words: array, repeats: int) -> int:
-    """The slot int holding each word of `words` in `repeats` slots in a row.
-
-    The array copies each word's 8 bytes as they are, so the words must be
-    bytes of a little-endian image, whatever the platform's byte order; the
-    high 8 bytes of every slot stay zero.
-    """
-    out = array("Q", bytes(_SLOT_BYTES * len(words) * repeats))
-    step = 2 * repeats
-    for k in range(0, step, 2):
-        out[k::step] = words
-    return int.from_bytes(out.tobytes(), "little")
-
-
-def _trial_seeds(master: int, trials: range, m: int, n: int, copies: int) -> tuple[int, int]:
-    """The slot int of `_trial_masks`' stream seeds, and the `lanes` slot int
-    of its folds, which the draw reuses; its other block-sized temporaries
-    are freed on return, before the draw."""
     count = len(trials)
-    rows = count * m
-    width = n * copies
-    # Each fold adds its index to the state, then mixes; master + _GAMMA + t < 2**66.
-    trial_ramp = _repeat_slots(array("Q", struct.pack(f"<{count}Q", *trials)), 1)
-    trial_seeds = _mix64(trial_ramp + _slots((master + _GAMMA,), count), _slots((_M64,), count))
-    row_ramp = _slots((_GAMMA + i for i in range(m)), count)
-    row_seeds = _mix64(_repeat_slots(_low_words(trial_seeds, count), m) + row_ramp,
-                       _slots((_M64,), rows))
-    col_ramp = _slots((_GAMMA + j for j in range(n) for _ in range(copies)), rows)
-    copy_ramp = _slots((_GAMMA + c for _ in range(n) for c in range(copies)), rows)
-    lanes = _slots((_M64,), rows * width)
-    seeds = _mix64(_repeat_slots(_low_words(row_seeds, rows), width) + col_ramp, lanes)
-    return _mix64(seeds + copy_ramp, lanes), lanes
+    lanes = _Lanes(count * m * len(lengths) * copies)
+    seeds = _mix64(lanes.plus(_dense([master + _GAMMA & _M64], count), _dense(trials)), lanes)
+    slots = count
+    for size in (m, len(lengths), copies):
+        seeds = _mix64(lanes.plus(_repeat_slots(seeds, slots, size),
+                                  _dense(range(_GAMMA, _GAMMA + size), slots)), lanes)
+        slots *= size
+    return _flip_masks(seeds, [length for length in lengths for _ in range(copies)],
+                       count * m, threshold, lanes)
 
 
 def _threshold(p: float) -> int:
@@ -213,7 +225,7 @@ def _threshold(p: float) -> int:
 
 def bsc_corrupt(cfg: ChannelConfig, x: BitVector) -> BitVector:
     """Flip each bit independently with probability p; fully seed-determined."""
-    (mask,) = _flip_masks(cfg.seed, (x.length,), 1, _threshold(cfg.flip_probability), _M64)
+    (mask,) = _flip_masks(cfg.seed, (x.length,), 1, _threshold(cfg.flip_probability), _Lanes(1))
     return BitVector(x.length, x.bits ^ mask)
 
 

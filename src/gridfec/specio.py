@@ -93,14 +93,14 @@ def _parse_composition(doc: dict) -> AnyCode:
     table = {name: _parse_code(spec, f"codes[{name!r}]") for name, spec in named.items()}
     inline: dict[str, LinearCode] = {}
 
-    def resolve(entry, where: str) -> LinearCode:
+    def resolve(entry, *index: int) -> LinearCode:
         if isinstance(entry, str):
             if entry not in table:
-                raise SpecError(f"{where}: unknown code name {entry!r}")
+                raise SpecError(f"{_cell(index)}: unknown code name {entry!r}")
             return table[entry]
         key = json.dumps(entry, sort_keys=True)
         if key not in inline:
-            inline[key] = _parse_code(entry, where)
+            inline[key] = _parse_code(entry, _cell(index))
         return inline[key]
 
     cells = doc.get("cells")
@@ -113,17 +113,22 @@ def _parse_composition(doc: dict) -> AnyCode:
             if (not isinstance(cells, list) or not cells
                     or any(not isinstance(r, list) for r in cells)):
                 raise SpecError("grid 'cells' must be an array of arrays")
-            grid = [[resolve(e, f"cells[{i}][{j}]") for j, e in enumerate(row)]
+            grid = [[resolve(e, i, j) for j, e in enumerate(row)]
                     for i, row in enumerate(cells)]
             return GridCode(grid)
         if not isinstance(cells, list) or not cells:
             raise SpecError(f"{shape} 'cells' must be a non-empty array")
-        codes = [resolve(e, f"cells[{i}]") for i, e in enumerate(cells)]
+        codes = [resolve(e, i) for i, e in enumerate(cells)]
         from .super_codes import SuperColumnCode, SuperRowCode
 
         return SuperRowCode(codes) if shape == "row" else SuperColumnCode(codes)
     except CodeError as exc:
         raise SpecError(str(exc)) from exc
+
+
+def _cell(index: tuple[int, ...]) -> str:
+    """The label cells[i] or cells[i][j] of a composition cell, made only for a message."""
+    return "cells" + "".join(f"[{k}]" for k in index)
 
 
 def _matrix(doc: dict, where: str) -> BitMatrix:

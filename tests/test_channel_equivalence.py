@@ -36,7 +36,7 @@ from gridfec.channel import (
     bsc_corrupt,
     run_trial,
 )
-from gridfec.families import hamming
+from gridfec.families import hamming, parity_check
 from gridfec.gf2 import BitMatrix, BitVector, distance
 from gridfec.grid import GridCode, GridCodeword, arbitrate
 from gridfec.linear import LinearCode
@@ -297,24 +297,47 @@ def _unmix64(z: int) -> int:
     return _unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _M64, 30)
 
 
-def test_zero_stream_state_matches():
-    # A stream seeded by 0 would stay at state 0, so it starts at _GAMMA.  Fold
-    # the indices (3, 1, 2, 1) back out of seed 0 to reach that case in a trial.
+def _master_of_zero_stream(*indices: int) -> int:
+    """The master seed whose stream (t, i, j, c) = indices is seeded by 0: every
+    fold of reference_derive_seed undone, last first."""
     master = 0
-    for index in (1, 2, 1, 3):
+    for index in reversed(indices):
         master = (_unmix64(master) - _GAMMA - index) & _M64
+    assert reference_derive_seed(master, *indices) == 0
+    return master
+
+
+def test_zero_stream_state_matches():
+    # A stream seeded by 0 would stay at state 0, so it starts at _GAMMA.
+    master = _master_of_zero_stream(3, 1, 2, 1)
     assert master == 0x51B3C76517F2881
-    assert reference_derive_seed(master, 3, 1, 2, 1) == 0
     code = hamming(3)
     grid = GridCode.uniform(code, 2, 3)
     sent = GridCodeword.from_rows([[code.encode(BV("1011"))] * 3] * 2)
     cfg = ChannelConfig(0.3, master)
-    assert run_trial(grid, sent, "per_cell_decode", cfg, 5) == \
-        reference_run_trial(grid, sent, "per_cell_decode", cfg, 5)
+    # per_cell_decode draws copy 0 only; simultaneous draws the zero stream, in
+    # the odd slot ((3 * 2 + 1) * 3 + 2) * 2 + 1 = 47 of its one kernel call.
+    for strategy in ("per_cell_decode", "simultaneous"):
+        assert run_trial(grid, sent, strategy, cfg, 5) == \
+            reference_run_trial(grid, sent, strategy, cfg, 5)
     # mix64(0) == 0, so bsc_corrupt at seed 0 takes the same branch.
     cfg = ChannelConfig(0.3, 0)
     zeros = BitVector.zeros(200)
     assert bsc_corrupt(cfg, zeros) == reference_bsc_corrupt(cfg, zeros)
+
+
+def test_zero_stream_in_an_even_slot_of_a_long_column():
+    # Copy 0 of (t, i, j) = (3, 1, 1) is the even slot (3 * 2 + 1) * 3 + 1 = 22
+    # of per_cell_decode's kernel call (44 of simultaneous'), and its 65 draws
+    # span two chunks of 64.
+    master = _master_of_zero_stream(3, 1, 1, 0)
+    lengths = (3, 65, 5)
+    grid = GridCode([[parity_check(n) for n in lengths]] * 2)
+    sent = GridCodeword.from_rows([[BitVector.zeros(n) for n in lengths]] * 2)
+    cfg = ChannelConfig(0.3, master)
+    for strategy in ("per_cell_decode", "simultaneous"):
+        assert run_trial(grid, sent, strategy, cfg, 5) == \
+            reference_run_trial(grid, sent, strategy, cfg, 5)
 
 
 # A 2x2 grid of single copies: four streams per trial.
@@ -333,13 +356,17 @@ def test_block_boundaries(trials):
 @pytest.mark.parametrize("master", [0, (1 << 64) - 1])
 @pytest.mark.parametrize("first", [1, (1 << 40) - 1])
 @pytest.mark.parametrize("copies", [1, 2])
-@pytest.mark.parametrize("n", [1, 17])
+@pytest.mark.parametrize("lengths", [
+    pytest.param([1], id="1"),
+    pytest.param([1 + 5 * j % 13 for j in range(17)], id="17"),
+    # On both sides of one and of two 64-draw chunks.
+    pytest.param([63, 64, 65, 127, 128, 129], id="chunk-edges"),
+])
 @pytest.mark.parametrize("m", [1, 3, 16])
-def test_trial_masks_match_reference_streams(m, n, copies, first, master):
+def test_trial_masks_match_reference_streams(m, lengths, copies, first, master):
     # Every fold of the kernel against the frozen per-stream derivation, with
     # trial ranges that start past 0, one of them near 2**40.
     trials = range(first, first + 3)
-    lengths = [1 + 5 * j % 13 for j in range(n)]
     masks = _trial_masks(master, trials, m, lengths, copies, _threshold(0.3))
     expected = [
         reference_bsc_corrupt(ChannelConfig(0.3, reference_derive_seed(master, t, i, j, c)),

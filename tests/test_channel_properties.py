@@ -1,6 +1,6 @@
 """Property tests: the slot-parallel kernel draws the documented stream.
 
-run_trial draws a block of trials at once, one 128-bit slot per (trial, row,
+run_trial draws a block of trials at once, one 64-bit slot per (trial, row,
 column, copy) stream.  For any master seed, trial range, grid shape, column
 lengths and p, each slot's mask must equal what the frozen pre-kernel pair
 `reference_derive_seed` + `reference_bsc_corrupt` gives for that stream, and

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,22 @@ class TestParseSpec:
     def test_unknown_name_rejected(self):
         doc = {"shape": "row", "cells": ["nope"]}
         with pytest.raises(SpecError, match="cells\\[0\\]"):
+            parse_spec(json.dumps(doc))
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"shape": "grid", "codes": {"h": {"kind": "hamming", "m": 3}},
+          "cells": [["h", "h", "h"], ["h", "h", "nope"]]},
+         "cells[1][2]: unknown code name 'nope'"),
+        ({"shape": "row", "cells": [{"kind": "hamming", "m": 3}, {"kind": "bogus"}]},
+         "cells[1]: unknown code kind 'bogus'"),
+        ({"shape": "grid", "cells": [[{"kind": "hamming", "m": 3}], [{"m": 3}]]},
+         "cells[1][0]: expected an object with a 'kind' key"),
+        ({"shape": "column", "cells": [{"kind": "repetition", "n": 2000}]},
+         "cells[0]: repetition n=2000 exceeds the limit 1024 (codes are at most 1024 bits long)"),
+    ])
+    def test_cell_label_in_whole_message(self, doc, message):
+        # A cell is named by its index path in the message, and nothing else changes.
+        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
             parse_spec(json.dumps(doc))
 
     def test_syntax_error(self):
