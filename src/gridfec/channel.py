@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import struct
 from array import array
-from typing import Iterable, Sequence
+from itertools import cycle, repeat
+from operator import add, and_, mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .gf2 import BitVector, Gf2Error, Value, _set, mat_vec_bits
 from .grid import GridCode, GridCodeword, arbitrate, vote
@@ -253,27 +255,62 @@ class _Syndromes(dict):
         return syndrome
 
 
+class _CellOutcomes(dict):
+    """Packed outcomes of per-cell coset decoding, each computed once.
+
+    The key of error mask e in a cell whose check matrix is kind k of the
+    `rules`, one (check rows, coset leaders) pair per kind, is
+    e * len(rules) + k.  Its value is the number of bits the cell keeps, plus
+    `unit` if e is a nonzero codeword.  `unit` exceeds the most bits a trial
+    can leave, so the sum of a trial's values holds its bits left below
+    `unit` and its hidden cells above.
+    """
+
+    __slots__ = ("rules", "unit")
+
+    def __init__(self, rules: Sequence[tuple[Sequence[int], dict[int, int]]],
+                 unit: int) -> None:
+        super().__init__()
+        self.rules = rules
+        self.unit = unit
+
+    def __missing__(self, key: int) -> int:
+        e, kind = divmod(key, len(self.rules))
+        rows, leaders = self.rules[kind]
+        syndrome = mat_vec_bits(rows, e)
+        # A cell keeps the bits where its error and its coset leader differ.
+        packed = self[key] = (e ^ leaders[syndrome]).bit_count() \
+            + (self.unit if e and not syndrome else 0)
+        return packed
+
+
 def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
               cfg: ChannelConfig, trials: int) -> TrialReport:
     """Corrupt every cell per trial, apply the strategy, tally recoveries.
 
     The strategy is chosen once, before any trial: it checks its input and
-    gives `outcome(errors) -> (bits_left, hidden)` over one trial's flip masks.
-    A trial succeeds iff it leaves no bit error; decode_success counts those
-    trials, residual_bit_errors sums the bits left, and undetected_error counts
-    trials where some received cell was a valid codeword other than the sent one.
+    gives `totals(masks)`, one total per trial of a block of flip masks.  A
+    total packs the bits the trial leaves below `unit`, a power of two above
+    the most bits a trial can leave, and a nonzero multiple of `unit` iff
+    some received cell was a valid codeword other than the sent one.  A trial
+    succeeds iff it leaves no bit error; decode_success counts those trials,
+    residual_bit_errors sums the bits left, and undetected_error counts the
+    trials with a hidden cell.  Each block is tallied in C.
 
     Trials are drawn in blocks of at most _BLOCK_SLOTS cell streams by
     `_trial_masks`, so memory does not grow with `trials`; the masks are
     exactly those of `bsc_corrupt` seeded by `derive_seed(cfg.seed, t, i, j,
     copy)`, so the report is the same as with one derivation per cell.
 
-    Each distinct check matrix gets one syndrome memo per block, which the
-    per-cell decode, the undetected-error check and the simultaneous
-    strategy read, so a mask that recurs within the block has its syndrome
+    Per-cell decode decides each distinct (check matrix, mask) of a block
+    once, in a `_CellOutcomes` memo, and sums each trial's cells in C.  The
+    other two strategies give `outcome(errors) -> (bits_left, hidden)` over
+    one trial's masks, and each distinct check matrix gets one syndrome memo
+    per block, which their undetected-error checks and the arbitration of
+    two copies read, so a mask that recurs within the block has its syndrome
     computed once.  The simultaneous strategy skips untouched cells, reads
     one syndrome where both copies agree and passes both copies' syndromes
-    to `arbitrate` where they differ, on the error masks themselves.  The
+    to `arbitrate` where they differ, on the error masks themselves.  All
     memos are emptied with the block's masks, so they too stay within the
     block size.
 
@@ -293,28 +330,40 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
     copies = 2 if strategy == "simultaneous" else 1
     lengths = grid.column_lengths()
     codes = [code for row in grid.cells for code in row]
-    # One syndrome memo per distinct check matrix, and the memo of each cell.
-    keys = [code.h.row_words for code in codes]
-    memos = {rows: _Syndromes(rows) for rows in dict.fromkeys(keys)}
-    syndromes = [memos[rows] for rows in keys]
+    slots = len(codes) * copies
+    unit = 1 << (len(codes) * max(lengths)).bit_length()
+    # The distinct check matrices, and the kind of each cell: its matrix's index.
+    kinds: dict[tuple[int, ...], int] = {}
+    cell_kinds = [kinds.setdefault(code.h.row_words, len(kinds)) for code in codes]
+    # One syndrome memo per kind, and the memo of each cell.
+    memos = [_Syndromes(rows) for rows in kinds]
+    syndromes = [memos[kind] for kind in cell_kinds]
+
+    def per_trial(outcome: Callable[[list[int]], tuple[int, bool]]
+                  ) -> Callable[[list[int]], Iterator[int]]:
+        """The totals of a strategy that decides one trial at a time."""
+        def totals(masks: list[int]) -> Iterator[int]:
+            for k in range(0, len(masks), slots):
+                left, hidden = outcome(masks[k:k + slots])
+                yield left + unit * hidden
+        return totals
+
     # The sent word is a codeword, so a received cell's syndrome is that of its
     # flip mask, and an untouched cell (mask 0) needs none.  A nonzero error
     # with a zero syndrome turns the cell into another codeword.
     if strategy == "per_cell_decode":
-        # Each cell's own coset leaders, walked lazily: a lookup walks no support
-        # heavier than its error, and past the walk's budget CapacityError ends the run.
-        tables = [code.leader_bits for code in codes]
+        # One code of each kind, whose coset leaders serve every cell of that kind,
+        # walked lazily: a lookup walks no support heavier than its error, and
+        # past the walk's budget CapacityError ends the run.
+        outcomes = _CellOutcomes([(rows, code.leader_bits) for rows, code in
+                                  {code.h.row_words: code for code in codes}.items()], unit)
+        memos = [outcomes]  # the only memo this strategy reads
 
-        def outcome(errors: list[int]) -> tuple[int, bool]:
-            # A cell keeps the bits where its error and its coset leader differ.
-            left = 0
-            hidden = False
-            for e, syndrome_of, table in zip(errors, syndromes, tables):
-                if e:
-                    syndrome = syndrome_of[e]
-                    hidden = hidden or not syndrome
-                    left += (e ^ table[syndrome]).bit_count()
-            return left, hidden
+        def totals(masks: list[int]) -> Iterator[int]:
+            keys = masks if len(kinds) == 1 else \
+                map(add, map(mul, masks, repeat(len(kinds))), cycle(cell_kinds))
+            # One iterator zipped `slots` times over hands out each trial's cells.
+            return map(sum, zip(*[map(outcomes.__getitem__, keys)] * slots))
     elif strategy == "majority_vote":
         if not grid.is_uniform():
             raise ChannelError("majority_vote requires a uniform grid")
@@ -322,7 +371,7 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
         if any(c.bits != x for row in sent.cells for c in row):
             raise ChannelError("majority_vote expects the same codeword in every cell")
 
-        (syndrome_of,) = memos.values()
+        (syndrome_of,) = memos
         cells = len(codes)
 
         def outcome(errors: list[int]) -> tuple[int, bool]:
@@ -332,6 +381,8 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
             if 2 * errors.count(0) > cells:
                 return 0, hidden
             return (vote(codes[0], [x ^ e for e in errors]) ^ x).bit_count(), hidden
+
+        totals = per_trial(outcome)
     else:
         def outcome(errors: list[int]) -> tuple[int, bool]:
             # A cell both copies' errors agree on passes through; the others are
@@ -350,21 +401,22 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
                 left += arbitrate(code, ea, eb, sa, sb).bit_count()
             return left, hidden
 
+        totals = per_trial(outcome)
+
     successes = undetected = residual = 0
     threshold = _threshold(cfg.flip_probability)
-    slots = len(codes) * copies
     block = max(1, _BLOCK_SLOTS // slots)
     for start in range(0, trials, block):
         masks = _trial_masks(cfg.seed, range(start, min(start + block, trials)), grid.m,
                              lengths, copies, threshold)
-        for k in range(0, len(masks), slots):
-            left, hidden = outcome(masks[k:k + slots])
-            residual += left
-            successes += not left
-            undetected += hidden
+        packed = list(totals(masks))
+        lefts = list(map(and_, packed, repeat(unit - 1)))
+        residual += sum(lefts)
+        successes += lefts.count(0)
+        undetected += sum(map(unit.__le__, packed))
         # The memos keep the block's masks as keys: empty them and free the masks
         # before the next block is drawn.
-        for memo in memos.values():
+        for memo in memos:
             memo.clear()
         del masks
     return TrialReport(trials, successes, undetected, residual)

@@ -305,3 +305,23 @@ def test_pinned_trial_reports(strategy, seed, p):
     grid, sent = mixed_331() if strategy == "simultaneous" else hamming_3x3()
     report = run_trial(grid, sent, strategy, ChannelConfig(p, seed), 40)
     assert report == TrialReport(40, *PINNED_REPORTS[strategy, seed, p])
+
+
+# per_cell_decode on the Ex 3.3.1 grid, (seed, p) -> (decode_success,
+# undetected_error, residual_bit_errors) over 40 trials: six distinct check
+# matrices, so each cell's outcome is keyed by its mask and its matrix.
+# simultaneous runs on this grid in PINNED_REPORTS above.  Recorded from the
+# trial loop that decoded one trial at a time.
+PINNED_MIXED_REPORTS = {
+    (7, 0.05): (25, 0, 47),
+    (7, 0.3): (0, 15, 555),
+    ((1 << 64) - 1, 0.05): (23, 2, 53),
+    ((1 << 64) - 1, 0.3): (0, 15, 539),
+}
+
+
+@pytest.mark.parametrize("seed, p", sorted(PINNED_MIXED_REPORTS))
+def test_pinned_mixed_grid_reports(seed, p):
+    grid, sent = mixed_331()
+    report = run_trial(grid, sent, "per_cell_decode", ChannelConfig(p, seed), 40)
+    assert report == TrialReport(40, *PINNED_MIXED_REPORTS[seed, p])

@@ -353,6 +353,35 @@ def test_block_boundaries(trials):
         reference_run_trial(grid, sent, "per_cell_decode", cfg, trials)
 
 
+# The Ex 3.3.1 grid: six single-copy streams per trial, and six check matrices.
+MIXED_BLOCK_TRIALS = _BLOCK_SLOTS // 6
+
+
+@pytest.mark.parametrize("trials", [MIXED_BLOCK_TRIALS - 1, MIXED_BLOCK_TRIALS,
+                                    MIXED_BLOCK_TRIALS + 1])
+def test_block_boundaries_on_a_mixed_grid(trials):
+    # Each block's outcome memo is keyed by mask and check matrix, and emptied
+    # with the block: the trials past the first block decode from a fresh one.
+    grid, sent = _mixed_from_stream()
+    cfg = ChannelConfig(0.2, 1 << 63)
+    assert run_trial(grid, sent, "per_cell_decode", cfg, trials) == \
+        reference_run_trial(grid, sent, "per_cell_decode", cfg, trials)
+
+
+@pytest.mark.parametrize("strategy", ["per_cell_decode", "simultaneous"])
+def test_packed_totals_at_the_length_limit(strategy):
+    # Two cells of the longest code length at p = 1: every mask is all ones, an
+    # even-weight codeword, so a trial leaves 2048 bits and hides both cells,
+    # all in one packed total.
+    code = parity_check(1024)
+    grid = GridCode.uniform(code, 1, 2)
+    sent = GridCodeword.from_rows([[BitVector.zeros(1024)] * 2])
+    cfg = ChannelConfig(1.0, 5)
+    expected = reference_run_trial(grid, sent, strategy, cfg, 3)
+    assert expected == TrialReport(3, 0, 3, 3 * 2048)
+    assert run_trial(grid, sent, strategy, cfg, 3) == expected
+
+
 @pytest.mark.parametrize("master", [0, (1 << 64) - 1])
 @pytest.mark.parametrize("first", [1, (1 << 40) - 1])
 @pytest.mark.parametrize("copies", [1, 2])
