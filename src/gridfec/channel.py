@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import struct
 from array import array
+from functools import partial
 from itertools import cycle, repeat
 from operator import add, and_, mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .gf2 import BitVector, Gf2Error, Value, _set, mat_vec_bits
 from .grid import GridCode, GridCodeword, arbitrate, vote
@@ -241,47 +242,18 @@ def inject_errors(x: BitVector, positions: Iterable[int]) -> BitVector:
     return x.with_flipped(seen)
 
 
-class _Syndromes(dict):
-    """Syndromes by error mask under one check matrix, each computed once."""
+class _Memo(dict):
+    """The value of `rule` at each key, computed once, on the key's first lookup."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rule",)
 
-    def __init__(self, rows: Sequence[int]) -> None:
+    def __init__(self, rule: Callable[[int], int]) -> None:
         super().__init__()
-        self.rows = rows
-
-    def __missing__(self, error: int) -> int:
-        syndrome = self[error] = mat_vec_bits(self.rows, error)
-        return syndrome
-
-
-class _CellOutcomes(dict):
-    """Packed outcomes of per-cell coset decoding, each computed once.
-
-    The key of error mask e in a cell whose check matrix is kind k of the
-    `rules`, one (check rows, coset leaders) pair per kind, is
-    e * len(rules) + k.  Its value is the number of bits the cell keeps, plus
-    `unit` if e is a nonzero codeword.  `unit` exceeds the most bits a trial
-    can leave, so the sum of a trial's values holds its bits left below
-    `unit` and its hidden cells above.
-    """
-
-    __slots__ = ("rules", "unit")
-
-    def __init__(self, rules: Sequence[tuple[Sequence[int], dict[int, int]]],
-                 unit: int) -> None:
-        super().__init__()
-        self.rules = rules
-        self.unit = unit
+        self.rule = rule
 
     def __missing__(self, key: int) -> int:
-        e, kind = divmod(key, len(self.rules))
-        rows, leaders = self.rules[kind]
-        syndrome = mat_vec_bits(rows, e)
-        # A cell keeps the bits where its error and its coset leader differ.
-        packed = self[key] = (e ^ leaders[syndrome]).bit_count() \
-            + (self.unit if e and not syndrome else 0)
-        return packed
+        value = self[key] = self.rule(key)
+        return value
 
 
 def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
@@ -300,23 +272,9 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
     Trials are drawn in blocks of at most _BLOCK_SLOTS cell streams by
     `_trial_masks`, so memory does not grow with `trials`; the masks are
     exactly those of `bsc_corrupt` seeded by `derive_seed(cfg.seed, t, i, j,
-    copy)`, so the report is the same as with one derivation per cell.
-
-    Per-cell decode decides each distinct (check matrix, mask) of a block
-    once, in a `_CellOutcomes` memo, and sums each trial's cells in C.  The
-    other two strategies give `outcome(errors) -> (bits_left, hidden)` over
-    one trial's masks, and each distinct check matrix gets one syndrome memo
-    per block, which their undetected-error checks and the arbitration of
-    two copies read, so a mask that recurs within the block has its syndrome
-    computed once.  The simultaneous strategy skips untouched cells, reads
-    one syndrome where both copies agree and passes both copies' syndromes
-    to `arbitrate` where they differ, on the error masks themselves.  All
-    memos are emptied with the block's masks, so they too stay within the
-    block size.
-
-    Majority vote looks up the syndromes of struck cells only, and calls
-    `vote` only when untouched cells are not a strict majority: when they
-    are, the sent value has the unique top count, so the vote returns it.
+    copy)`, so the report is the same as with one derivation per cell.  Each
+    strategy reads `_Memo`s keyed by the block's masks, so a mask that recurs
+    within a block is decided once, and empties them with the block.
     """
     if strategy not in STRATEGIES:
         raise ChannelError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
@@ -335,18 +293,10 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
     # The distinct check matrices, and the kind of each cell: its matrix's index.
     kinds: dict[tuple[int, ...], int] = {}
     cell_kinds = [kinds.setdefault(code.h.row_words, len(kinds)) for code in codes]
-    # One syndrome memo per kind, and the memo of each cell.
-    memos = [_Syndromes(rows) for rows in kinds]
-    syndromes = [memos[kind] for kind in cell_kinds]
 
-    def per_trial(outcome: Callable[[list[int]], tuple[int, bool]]
-                  ) -> Callable[[list[int]], Iterator[int]]:
-        """The totals of a strategy that decides one trial at a time."""
-        def totals(masks: list[int]) -> Iterator[int]:
-            for k in range(0, len(masks), slots):
-                left, hidden = outcome(masks[k:k + slots])
-                yield left + unit * hidden
-        return totals
+    def per_trial(outcome: Callable[[list[int]], int]) -> Callable[[list[int]], Iterable[int]]:
+        """The totals of a strategy that decides one trial's masks at a time."""
+        return lambda masks: map(outcome, [masks[k:k + slots] for k in range(0, len(masks), slots)])
 
     # The sent word is a codeword, so a received cell's syndrome is that of its
     # flip mask, and an untouched cell (mask 0) needs none.  A nonzero error
@@ -355,15 +305,25 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
         # One code of each kind, whose coset leaders serve every cell of that kind,
         # walked lazily: a lookup walks no support heavier than its error, and
         # past the walk's budget CapacityError ends the run.
-        outcomes = _CellOutcomes([(rows, code.leader_bits) for rows, code in
-                                  {code.h.row_words: code for code in codes}.items()], unit)
-        memos = [outcomes]  # the only memo this strategy reads
+        rules = [(rows, code.leader_bits) for rows, code in
+                 {code.h.row_words: code for code in codes}.items()]
 
-        def totals(masks: list[int]) -> Iterator[int]:
+        def decode(key: int) -> int:
+            """Error mask e in a cell of kind k, keyed e * len(rules) + k: the bits
+            the cell keeps, where e and its coset leader differ, plus `unit` if e
+            is a nonzero codeword."""
+            e, kind = divmod(key, len(rules))
+            rows, leaders = rules[kind]
+            syndrome = mat_vec_bits(rows, e)
+            return (e ^ leaders[syndrome]).bit_count() + (unit if e and not syndrome else 0)
+
+        memos = [_Memo(decode)]
+
+        def totals(masks: list[int]) -> Iterable[int]:
             keys = masks if len(kinds) == 1 else \
                 map(add, map(mul, masks, repeat(len(kinds))), cycle(cell_kinds))
             # One iterator zipped `slots` times over hands out each trial's cells.
-            return map(sum, zip(*[map(outcomes.__getitem__, keys)] * slots))
+            return map(sum, zip(*[map(memos[0].__getitem__, keys)] * slots))
     elif strategy == "majority_vote":
         if not grid.is_uniform():
             raise ChannelError("majority_vote requires a uniform grid")
@@ -371,20 +331,25 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
         if any(c.bits != x for row in sent.cells for c in row):
             raise ChannelError("majority_vote expects the same codeword in every cell")
 
-        (syndrome_of,) = memos
+        # A uniform grid has one check matrix: one syndrome memo.
+        (syndrome_of,) = memos = [_Memo(partial(mat_vec_bits, rows)) for rows in kinds]
         cells = len(codes)
 
-        def outcome(errors: list[int]) -> tuple[int, bool]:
-            hidden = not all(map(syndrome_of.__getitem__, filter(None, errors)))
+        def outcome(errors: list[int]) -> int:
+            hidden = 0 if all(map(syndrome_of.__getitem__, filter(None, errors))) else unit
             # More untouched cells than struck ones are a unique top count for x,
             # which is all `vote` could return.
             if 2 * errors.count(0) > cells:
-                return 0, hidden
-            return (vote(codes[0], [x ^ e for e in errors]) ^ x).bit_count(), hidden
+                return hidden
+            return (vote(codes[0], [x ^ e for e in errors]) ^ x).bit_count() + hidden
 
         totals = per_trial(outcome)
     else:
-        def outcome(errors: list[int]) -> tuple[int, bool]:
+        # One syndrome memo per kind, and the memo of each cell.
+        memos = [_Memo(partial(mat_vec_bits, rows)) for rows in kinds]
+        syndromes = [memos[kind] for kind in cell_kinds]
+
+        def outcome(errors: list[int]) -> int:
             # A cell both copies' errors agree on passes through; the others are
             # arbitrated on the errors, which gives the error kept.
             left = 0
@@ -399,7 +364,7 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
                 sb = eb and syndrome_of[eb]
                 hidden = hidden or (ea and not sa) or (eb and not sb)
                 left += arbitrate(code, ea, eb, sa, sb).bit_count()
-            return left, hidden
+            return left + unit if hidden else left
 
         totals = per_trial(outcome)
 

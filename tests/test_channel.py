@@ -5,6 +5,7 @@ import pytest
 
 import gridfec.channel
 import gridfec.grid
+import gridfec.linear
 from gridfec.channel import (
     _BLOCK_SLOTS,
     STRATEGIES,
@@ -21,6 +22,7 @@ from gridfec.channel import (
 from gridfec.families import hamming, parity_check
 from gridfec.gf2 import BitVector, Gf2Error, mat_vec_bits
 from gridfec.grid import GridCode, GridCodeword
+from gridfec.linear import CapacityError
 from gridfec.specio import parse_spec
 
 BV = BitVector.from_string
@@ -211,24 +213,37 @@ class TestRunTrial:
 
         assert peak(10 * block) <= 2 * peak(block)
 
-    def test_syndrome_memos_do_not_outlive_their_block(self):
+    @pytest.mark.parametrize("strategy", ["per_cell_decode", "simultaneous"])
+    def test_syndrome_memos_do_not_outlive_their_block(self, strategy):
         # At p = 0.5 the 40-bit masks almost never repeat, so each block's
-        # memo holds about a block of masks; one kept across blocks would grow.
+        # memos hold about a block of masks; memos kept across blocks would grow.
         code = parity_check(40)
         grid = GridCode.uniform(code, 1, 2)
         sent = GridCodeword.from_rows([[BitVector.zeros(40)] * 2])
-        block = _BLOCK_SLOTS // 2
-        run_trial(grid, sent, "per_cell_decode", ChannelConfig(0.5, 3), 1)  # leader walk warm-up
+        block = _BLOCK_SLOTS // (4 if strategy == "simultaneous" else 2)  # 2 cells x copies
+        run_trial(grid, sent, strategy, ChannelConfig(0.5, 3), 1)  # leader walk warm-up
 
         def peak(trials):
             tracemalloc.start()
             try:
-                run_trial(grid, sent, "per_cell_decode", ChannelConfig(0.5, 3), trials)
+                run_trial(grid, sent, strategy, ChannelConfig(0.5, 3), trials)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak(8 * block) <= 1.5 * peak(block)
+
+    @pytest.mark.parametrize("strategy", ["per_cell_decode", "simultaneous"])
+    def test_capacity_error_inside_a_memo_rule(self, strategy, monkeypatch):
+        # The walk's budget is read at each lookup: two supports find only two
+        # leaders of hamming(3), and at p = 0.5 a lookup soon needs a third.
+        monkeypatch.setattr(gridfec.linear, "COSET_WALK_BUDGET", 2)
+        code = hamming(3)  # a fresh code, whose leaders no other test has walked
+        word = code.encode(BV("1010"))
+        grid = GridCode.uniform(code, 3, 3)
+        sent = GridCodeword.from_rows([[word] * 3] * 3)
+        with pytest.raises(CapacityError, match="budget of 2 supports"):
+            run_trial(grid, sent, strategy, ChannelConfig(0.5, 1), 100)
 
     def test_simultaneous_syndrome_budget(self, monkeypatch):
         # One syndrome per present cell for membership, then at most one per

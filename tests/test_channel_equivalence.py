@@ -340,17 +340,29 @@ def test_zero_stream_in_an_even_slot_of_a_long_column():
             reference_run_trial(grid, sent, strategy, cfg, 5)
 
 
-# A 2x2 grid of single copies: four streams per trial.
+# A 2x2 grid: four streams per trial and copy.
 BLOCK_TRIALS = _BLOCK_SLOTS // 4
 
 
-@pytest.mark.parametrize("trials", [BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1,
-                                    2 * BLOCK_TRIALS + 1])
-def test_block_boundaries(trials):
+def _block_edges(strategy, copies):
+    # Per-cell decoding's cases are named by their trial count alone.
+    block = BLOCK_TRIALS // copies
+    return [pytest.param(strategy, trials, id=str(trials) if strategy == "per_cell_decode"
+                         else f"{strategy}-{trials}")
+            for trials in (block - 1, block, block + 1, 2 * block + 1)]
+
+
+@pytest.mark.parametrize("strategy, trials", [
+    *_block_edges("per_cell_decode", 1),
+    *_block_edges("majority_vote", 1),
+    *_block_edges("simultaneous", 2),
+])
+def test_block_boundaries(strategy, trials):
+    # Each block's totals are split into trials and its memos emptied with it.
     grid, sent = _uniform_hamming()
     cfg = ChannelConfig(0.2, 1 << 63)
-    assert run_trial(grid, sent, "per_cell_decode", cfg, trials) == \
-        reference_run_trial(grid, sent, "per_cell_decode", cfg, trials)
+    assert run_trial(grid, sent, strategy, cfg, trials) == \
+        reference_run_trial(grid, sent, strategy, cfg, trials)
 
 
 # The Ex 3.3.1 grid: six single-copy streams per trial, and six check matrices.

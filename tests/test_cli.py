@@ -448,6 +448,18 @@ class TestCosetWalkBudget:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("strategy", ["per_cell_decode", "simultaneous"])
+    def test_sim_run_on_a_grid_exits_two(self, capsys, monkeypatch, strategy):
+        # The error is raised inside the trial loop's memo rule (per-cell decoding)
+        # or its arbitration (simultaneous) and still ends in one error line.
+        monkeypatch.setattr(linear, "COSET_WALK_BUDGET", 2)
+        rc = main(["sim", "run", "--spec", str(FIXTURES / "hamming3_grid.json"),
+                   "--fill", "1010101", "--p", "0.5", "--trials", "100", "--seed", "1",
+                   "--strategy", strategy])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: the coset-leader walk passed its budget of 2 supports\n"
         assert "Traceback" not in captured.err
 
 
