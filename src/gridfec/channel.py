@@ -300,7 +300,9 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
 
     # The sent word is a codeword, so a received cell's syndrome is that of its
     # flip mask, and an untouched cell (mask 0) needs none.  A nonzero error
-    # with a zero syndrome turns the cell into another codeword.
+    # with a zero syndrome turns the cell into another codeword.  One syndrome
+    # memo per kind serves vote and reconcile; per-cell decoding has its own memo.
+    memos = [_Memo(partial(mat_vec_bits, rows)) for rows in kinds]
     if strategy == "per_cell_decode":
         # One code of each kind, whose coset leaders serve every cell of that kind,
         # walked lazily: a lookup walks no support heavier than its error, and
@@ -332,7 +334,7 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
             raise ChannelError("majority_vote expects the same codeword in every cell")
 
         # A uniform grid has one check matrix: one syndrome memo.
-        (syndrome_of,) = memos = [_Memo(partial(mat_vec_bits, rows)) for rows in kinds]
+        (syndrome_of,) = memos
         cells = len(codes)
 
         def outcome(errors: list[int]) -> int:
@@ -345,8 +347,7 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
 
         totals = per_trial(outcome)
     else:
-        # One syndrome memo per kind, and the memo of each cell.
-        memos = [_Memo(partial(mat_vec_bits, rows)) for rows in kinds]
+        # The syndrome memo of each cell.
         syndromes = [memos[kind] for kind in cell_kinds]
 
         def outcome(errors: list[int]) -> int:
