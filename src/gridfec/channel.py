@@ -30,7 +30,7 @@ import struct
 from array import array
 from functools import partial
 from itertools import cycle, repeat
-from operator import add, and_, mul
+from operator import and_
 from typing import Callable, Iterable, Sequence
 
 from .gf2 import BitVector, Gf2Error, Value, _set, mat_vec_bits
@@ -260,21 +260,14 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
               cfg: ChannelConfig, trials: int) -> TrialReport:
     """Corrupt every cell per trial, apply the strategy, tally recoveries.
 
-    The strategy is chosen once, before any trial: it checks its input and
-    gives `totals(masks)`, one total per trial of a block of flip masks.  A
-    total packs the bits the trial leaves below `unit`, a power of two above
-    the most bits a trial can leave, and a nonzero multiple of `unit` iff
-    some received cell was a valid codeword other than the sent one.  A trial
-    succeeds iff it leaves no bit error; decode_success counts those trials,
-    residual_bit_errors sums the bits left, and undetected_error counts the
-    trials with a hidden cell.  Each block is tallied in C.
-
-    Trials are drawn in blocks of at most _BLOCK_SLOTS cell streams by
-    `_trial_masks`, so memory does not grow with `trials`; the masks are
-    exactly those of `bsc_corrupt` seeded by `derive_seed(cfg.seed, t, i, j,
-    copy)`, so the report is the same as with one derivation per cell.  Each
-    strategy reads `_Memo`s keyed by the block's masks, so a mask that recurs
-    within a block is decided once, and empties them with the block.
+    The strategy, chosen once, checks its input and gives `totals(masks)`:
+    per trial of a block of flip masks, the bits the trial leaves, plus a
+    nonzero multiple of `unit` (a power of two above them) iff some received
+    cell was a codeword other than the sent one.  A trial succeeds iff it
+    leaves no bit error.  Blocks of at most _BLOCK_SLOTS cell streams come
+    from `_trial_masks`, exactly the masks of `bsc_corrupt` seeded by
+    `derive_seed(cfg.seed, t, i, j, copy)`; each is tallied in C, and the
+    memos of its masks are emptied with it.
     """
     if strategy not in STRATEGIES:
         raise ChannelError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
@@ -290,42 +283,35 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
     codes = [code for row in grid.cells for code in row]
     slots = len(codes) * copies
     unit = 1 << (len(codes) * max(lengths)).bit_length()
-    # The distinct check matrices, and the kind of each cell: its matrix's index.
-    kinds: dict[tuple[int, ...], int] = {}
-    cell_kinds = [kinds.setdefault(code.h.row_words, len(kinds)) for code in codes]
 
     def per_trial(outcome: Callable[[list[int]], int]) -> Callable[[list[int]], Iterable[int]]:
         """The totals of a strategy that decides one trial's masks at a time."""
         return lambda masks: map(outcome, [masks[k:k + slots] for k in range(0, len(masks), slots)])
 
+    def decode(rows: tuple[int, ...], leaders: dict[int, int], e: int) -> int:
+        """Error mask e in a cell with check rows `rows`: the bits the cell keeps,
+        where e and its coset leader differ, plus `unit` if e is a nonzero codeword."""
+        syndrome = mat_vec_bits(rows, e)
+        return (e ^ leaders[syndrome]).bit_count() + (unit if e and not syndrome else 0)
+
     # The sent word is a codeword, so a received cell's syndrome is that of its
     # flip mask, and an untouched cell (mask 0) needs none.  A nonzero error
-    # with a zero syndrome turns the cell into another codeword.  One syndrome
-    # memo per kind serves vote and reconcile; per-cell decoding has its own memo.
-    memos = [_Memo(partial(mat_vec_bits, rows)) for rows in kinds]
+    # with a zero syndrome turns the cell into another codeword.  Each distinct
+    # check matrix has one memo keyed by mask, and `cells` holds each cell's:
+    # per-cell decoding memoizes the coset-decode outcome, whose leaders are
+    # walked lazily (a lookup walks no support heavier than its error, and past
+    # the walk's budget CapacityError ends the run); vote and reconcile memoize
+    # the syndrome.
+    memos: dict[tuple[int, ...], _Memo] = {}
+    for code in codes:
+        if (rows := code.h.row_words) not in memos:
+            memos[rows] = _Memo(partial(decode, rows, code.leader_bits)
+                                if strategy == "per_cell_decode" else partial(mat_vec_bits, rows))
+    cells = [memos[code.h.row_words] for code in codes]
     if strategy == "per_cell_decode":
-        # One code of each kind, whose coset leaders serve every cell of that kind,
-        # walked lazily: a lookup walks no support heavier than its error, and
-        # past the walk's budget CapacityError ends the run.
-        rules = [(rows, code.leader_bits) for rows, code in
-                 {code.h.row_words: code for code in codes}.items()]
-
-        def decode(key: int) -> int:
-            """Error mask e in a cell of kind k, keyed e * len(rules) + k: the bits
-            the cell keeps, where e and its coset leader differ, plus `unit` if e
-            is a nonzero codeword."""
-            e, kind = divmod(key, len(rules))
-            rows, leaders = rules[kind]
-            syndrome = mat_vec_bits(rows, e)
-            return (e ^ leaders[syndrome]).bit_count() + (unit if e and not syndrome else 0)
-
-        memos = [_Memo(decode)]
-
         def totals(masks: list[int]) -> Iterable[int]:
-            keys = masks if len(kinds) == 1 else \
-                map(add, map(mul, masks, repeat(len(kinds))), cycle(cell_kinds))
             # One iterator zipped `slots` times over hands out each trial's cells.
-            return map(sum, zip(*[map(memos[0].__getitem__, keys)] * slots))
+            return map(sum, zip(*[map(dict.__getitem__, cycle(cells), masks)] * slots))
     elif strategy == "majority_vote":
         if not grid.is_uniform():
             raise ChannelError("majority_vote requires a uniform grid")
@@ -334,28 +320,25 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
             raise ChannelError("majority_vote expects the same codeword in every cell")
 
         # A uniform grid has one check matrix: one syndrome memo.
-        (syndrome_of,) = memos
-        cells = len(codes)
+        syndrome_of = cells[0]
+        count = len(codes)
 
         def outcome(errors: list[int]) -> int:
             hidden = 0 if all(map(syndrome_of.__getitem__, filter(None, errors))) else unit
             # More untouched cells than struck ones are a unique top count for x,
             # which is all `vote` could return.
-            if 2 * errors.count(0) > cells:
+            if 2 * errors.count(0) > count:
                 return hidden
             return (vote(codes[0], [x ^ e for e in errors]) ^ x).bit_count() + hidden
 
         totals = per_trial(outcome)
     else:
-        # The syndrome memo of each cell.
-        syndromes = [memos[kind] for kind in cell_kinds]
-
         def outcome(errors: list[int]) -> int:
             # A cell both copies' errors agree on passes through; the others are
             # arbitrated on the errors, which gives the error kept.
             left = 0
             hidden = False
-            for code, syndrome_of, ea, eb in zip(codes, syndromes, errors[0::2], errors[1::2]):
+            for code, syndrome_of, ea, eb in zip(codes, cells, errors[0::2], errors[1::2]):
                 if ea == eb:
                     if ea:
                         hidden = hidden or not syndrome_of[ea]
@@ -382,7 +365,7 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
         undetected += sum(map(unit.__le__, packed))
         # The memos keep the block's masks as keys: empty them and free the masks
         # before the next block is drawn.
-        for memo in memos:
+        for memo in memos.values():
             memo.clear()
         del masks
     return TrialReport(trials, successes, undetected, residual)

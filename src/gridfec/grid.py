@@ -361,6 +361,8 @@ class TrueChart(Value):
     marks: tuple[tuple[bool, ...], ...]
 
     def __init__(self, marks: tuple[tuple[bool, ...], ...]) -> None:
+        if not marks or not marks[0] or any(len(r) != len(marks[0]) for r in marks):
+            raise GridError("chart rows must be non-empty and rectangular")
         _set(self, "marks", marks)
 
     @classmethod

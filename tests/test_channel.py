@@ -247,8 +247,8 @@ class TestRunTrial:
 
     def test_simultaneous_syndrome_budget(self, monkeypatch):
         # One syndrome per present cell for membership, then at most one per
-        # distinct (check matrix, nonzero mask) pair of each block: arbitration
-        # reads both copies' syndromes from the block's memo.
+        # distinct nonzero mask in each check matrix's memo of each block:
+        # arbitration reads both copies' syndromes from their cell's memo.
         grid, sent = mixed_331()
         cfg = ChannelConfig(0.2, 9)
         slots = 2 * grid.m * grid.n

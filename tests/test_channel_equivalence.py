@@ -30,6 +30,7 @@ import pytest
 from gridfec.channel import (
     _BLOCK_SLOTS,
     ChannelConfig,
+    ChannelError,
     TrialReport,
     _threshold,
     _trial_masks,
@@ -344,18 +345,17 @@ def test_zero_stream_in_an_even_slot_of_a_long_column():
 BLOCK_TRIALS = _BLOCK_SLOTS // 4
 
 
-def _block_edges(strategy, copies):
+def _block_edges(strategy, block, *more):
     # Per-cell decoding's cases are named by their trial count alone.
-    block = BLOCK_TRIALS // copies
     return [pytest.param(strategy, trials, id=str(trials) if strategy == "per_cell_decode"
                          else f"{strategy}-{trials}")
-            for trials in (block - 1, block, block + 1, 2 * block + 1)]
+            for trials in (block - 1, block, block + 1, *more)]
 
 
 @pytest.mark.parametrize("strategy, trials", [
-    *_block_edges("per_cell_decode", 1),
-    *_block_edges("majority_vote", 1),
-    *_block_edges("simultaneous", 2),
+    *_block_edges("per_cell_decode", BLOCK_TRIALS, 2 * BLOCK_TRIALS + 1),
+    *_block_edges("majority_vote", BLOCK_TRIALS, 2 * BLOCK_TRIALS + 1),
+    *_block_edges("simultaneous", BLOCK_TRIALS // 2, BLOCK_TRIALS + 1),
 ])
 def test_block_boundaries(strategy, trials):
     # Each block's totals are split into trials and its memos emptied with it.
@@ -369,15 +369,43 @@ def test_block_boundaries(strategy, trials):
 MIXED_BLOCK_TRIALS = _BLOCK_SLOTS // 6
 
 
-@pytest.mark.parametrize("trials", [MIXED_BLOCK_TRIALS - 1, MIXED_BLOCK_TRIALS,
-                                    MIXED_BLOCK_TRIALS + 1])
-def test_block_boundaries_on_a_mixed_grid(trials):
-    # Each block's outcome memo is keyed by mask and check matrix, and emptied
-    # with the block: the trials past the first block decode from a fresh one.
+@pytest.mark.parametrize("strategy, trials", [
+    *_block_edges("per_cell_decode", MIXED_BLOCK_TRIALS),
+    *_block_edges("simultaneous", MIXED_BLOCK_TRIALS // 2),
+])
+def test_block_boundaries_on_a_mixed_grid(strategy, trials):
+    # Each check matrix's memo is keyed by mask alone and emptied with the
+    # block: the trials past the first block read fresh ones.
     grid, sent = _mixed_from_stream()
     cfg = ChannelConfig(0.2, 1 << 63)
-    assert run_trial(grid, sent, "per_cell_decode", cfg, trials) == \
-        reference_run_trial(grid, sent, "per_cell_decode", cfg, trials)
+    assert run_trial(grid, sent, strategy, cfg, trials) == \
+        reference_run_trial(grid, sent, strategy, cfg, trials)
+
+
+def _equal_rows_unequal_lengths():
+    """A 1 x 2 grid whose parity rows 11 and 110 have the same row words (3,)
+    at lengths 2 and 3: the two cells share one memo."""
+    codes = [LinearCode.from_parity(BitMatrix.from_strings([rows])) for rows in ("11", "110")]
+    return GridCode([codes]), GridCodeword.from_rows([[BV("11"), BV("111")]])
+
+
+@pytest.mark.parametrize("strategy, trials", [
+    ("per_cell_decode", _BLOCK_SLOTS // 2 - 1), ("per_cell_decode", _BLOCK_SLOTS // 2 + 1),
+    ("simultaneous", _BLOCK_SLOTS // 4 - 1), ("simultaneous", _BLOCK_SLOTS // 4 + 1),
+])
+def test_memo_shared_across_lengths(strategy, trials):
+    grid, sent = _equal_rows_unequal_lengths()
+    assert grid.cells[0][0].h.row_words == grid.cells[0][1].h.row_words
+    cfg = ChannelConfig(0.2, 1 << 63)
+    assert run_trial(grid, sent, strategy, cfg, trials) == \
+        reference_run_trial(grid, sent, strategy, cfg, trials)
+
+
+def test_memo_sharing_grid_refused_by_vote():
+    # Equal row words at unequal lengths are two check matrices, not a uniform grid.
+    grid, sent = _equal_rows_unequal_lengths()
+    with pytest.raises(ChannelError, match="uniform grid"):
+        run_trial(grid, sent, "majority_vote", ChannelConfig(0.2, 1), 3)
 
 
 @pytest.mark.parametrize("strategy", ["per_cell_decode", "simultaneous"])

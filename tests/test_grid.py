@@ -434,6 +434,14 @@ class TestChart:
             with pytest.raises(GridError, match=message):
                 TrueChart.from_text(text)
 
+    @pytest.mark.parametrize("marks", [(), ((),), ((True, True), (False,))],
+                             ids=["empty", "empty-row", "ragged"])
+    def test_empty_or_ragged_marks_refused(self, marks):
+        # Refused at construction, as GridCodeword's cells are, not later by
+        # `.n` or by `apply_chart` reading a missing mark as unmarked.
+        with pytest.raises(GridError, match="non-empty and rectangular"):
+            TrueChart(marks)
+
 
 class TestMask:
     def _word_7x7(self):
