@@ -12,7 +12,8 @@ The streams are independent, so they are drawn side by side: one "dense"
 Python int holds a 64-bit slot per stream, stream k in bits 64k to 64k + 63,
 and each step of the generator acts on every slot at once (SIMD within a
 register).  Shifts are masked to their slots, and adds and multiplications
-are split so that no carry or product reaches the next slot (`_Lanes`).
+are split so that no carry or product reaches the next slot (`_LANES`, whose
+masks are built once, at import, `_BLOCK_SLOTS` slots wide).
 `run_trial` puts stream (t, i, j, c) of a block of trials in slot
 ((t * m + i) * n + j) * copies + c; `bsc_corrupt` is the same kernel with
 one slot.  The stream each cell sees, and so every simulated count, is that
@@ -86,12 +87,14 @@ class TrialReport(Value):
 
 
 class _Lanes:
-    """The constants of a dense int of `slots` 64-bit slots, built per kernel call.
+    """The constants of a dense int of up to `slots` 64-bit slots.
 
     A shift is masked to the low bits of every slot (`low`): after a right
     shift, before a left one.  A 64 x 64-bit product spills into the next
     slot, so `times` multiplies the even and the odd slots apart: each spill
-    lands in a slot that is zero in that operand.
+    lands in a slot that is zero in that operand.  The masks are only and-ed
+    with the int, which cuts them to its slots, so the lanes of `slots` serve
+    every narrower int; `ones` must be cut where something is built from it.
     """
 
     __slots__ = ("even", "odd", "ones", "low")
@@ -118,7 +121,10 @@ class _Lanes:
         return (z & low) + (y & low) ^ x ^ x & low
 
 
-def _mix64(z: int, lanes: _Lanes = _Lanes(1)) -> int:
+_LANES = _Lanes(_BLOCK_SLOTS)  # every kernel call's, bar a trial wider than a block
+
+
+def _mix64(z: int, lanes: _Lanes = _LANES) -> int:
     """splitmix64 finalizer of a 64-bit word, or of every slot of a dense int."""
     low = lanes.low
     z = lanes.times(z ^ z >> 30 & low[34], 0xBF58476D1CE4E5B9)
@@ -145,13 +151,15 @@ def _flip_masks(seeds: int, lengths: Sequence[int], repeats: int, threshold: int
 
     Slot k of the dense int `seeds` holds a stream seed; with L = len(lengths),
     mask k has bit d set iff draw d < lengths[k % L] of that stream is below
-    `threshold`, for k < L * repeats, the slots of `lanes`.  Every slot
+    `threshold`, for k < L * repeats; `lanes` may have more slots.  Every slot
     advances by the same masked shifts and split multiplication, so each
     mask is bit for bit the scalar stream's.
     """
     slots = len(lengths) * repeats
-    ones, low = lanes.ones, lanes.low
-    low63 = low[63]
+    # `ones` and the added low[63] are cut to exactly the masks' slots.
+    cut = (1 << 64 * slots) - 1
+    ones, low = lanes.ones & cut, lanes.low
+    low63 = low[63] & cut
     top = ones << 63
     s = _mix64(seeds, lanes)
     # A zero state would stay zero: such a stream starts at _GAMMA instead.
@@ -178,7 +186,7 @@ def _flip_masks(seeds: int, lengths: Sequence[int], repeats: int, threshold: int
             kept |= ((below | draw if bound >> 63 else below & draw) & top) >> 63 - d
         # Only the draws each slot's length asks for.
         wanted = _dense([(1 << min(max(n - base, 0), 64)) - 1 for n in lengths], repeats) \
-            if uneven else lanes.ones * ((1 << draws) - 1)
+            if uneven else ones * ((1 << draws) - 1)
         images.append((wanted ^ kept & wanted).to_bytes(_SLOT_BYTES * slots, "little"))
     if 0 < longest <= 64:
         return list(struct.unpack(f"<{slots}Q", images[0]))
@@ -206,11 +214,12 @@ def _trial_masks(master: int, trials: range, m: int, lengths: Sequence[int], cop
     Slot ((r * m + i) * n + j) * copies + c holds the stream of
     derive_seed(master, trials[r], i, j, c), so its mask is that of
     `bsc_corrupt` seeded by it.  Each fold repeats every slot of the state
-    once per value of its index, adds _GAMMA + index and mixes; the folds
-    before the last run on fewer slots than `lanes`, whose masks they cut.
+    once per value of its index, adds _GAMMA + index and mixes, on as many
+    slots of the lanes as it has; a trial wider than `_LANES` builds its own.
     """
     count = len(trials)
-    lanes = _Lanes(count * m * len(lengths) * copies)
+    total = count * m * len(lengths) * copies
+    lanes = _LANES if total <= _BLOCK_SLOTS else _Lanes(total)
     seeds = _mix64(lanes.plus(_dense([master + _GAMMA & _M64], count), _dense(trials)), lanes)
     slots = count
     for size in (m, len(lengths), copies):
@@ -228,7 +237,7 @@ def _threshold(p: float) -> int:
 
 def bsc_corrupt(cfg: ChannelConfig, x: BitVector) -> BitVector:
     """Flip each bit independently with probability p; fully seed-determined."""
-    (mask,) = _flip_masks(cfg.seed, (x.length,), 1, _threshold(cfg.flip_probability), _Lanes(1))
+    (mask,) = _flip_masks(cfg.seed, (x.length,), 1, _threshold(cfg.flip_probability), _LANES)
     return BitVector(x.length, x.bits ^ mask)
 
 

@@ -39,6 +39,10 @@ if TYPE_CHECKING:
     AnyCode = Union[LinearCode, SuperRowCode, SuperColumnCode, GridCode]
 
 
+# The key of an inline cell spec; json.dumps would build an encoder per cell.
+_cell_key = json.JSONEncoder(sort_keys=True).encode
+
+
 class SpecError(ValueError):
     """Raised on malformed or constraint-violating spec documents."""
 
@@ -98,7 +102,7 @@ def _parse_composition(doc: dict) -> AnyCode:
             if entry not in table:
                 raise SpecError(f"{_cell(index)}: unknown code name {entry!r}")
             return table[entry]
-        key = json.dumps(entry, sort_keys=True)
+        key = _cell_key(entry)
         if key not in inline:
             inline[key] = _parse_code(entry, _cell(index))
         return inline[key]

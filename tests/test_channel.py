@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from pathlib import Path
 
@@ -212,6 +213,24 @@ class TestRunTrial:
                 tracemalloc.stop()
 
         assert peak(10 * block) <= 2 * peak(block)
+
+    def test_lanes_are_not_kept_per_size(self):
+        # Every kernel call reads the lanes built at import.  A trial wider than
+        # _BLOCK_SLOTS streams builds its own and keeps them nowhere: no cache
+        # keyed by size may grow, or widen the shared lanes.
+        lanes = gridfec.channel._LANES
+        before = (lanes.even, lanes.odd, lanes.ones, dict(lanes.low))
+        width = _BLOCK_SLOTS + 8
+        grid = GridCode.uniform(parity_check(2), 1, width)
+        sent = GridCodeword.from_rows([[BV("11")] * width])
+        # The counts the CI pins for this grid.
+        assert run_trial(grid, sent, "per_cell_decode", ChannelConfig(0.3, 5), 3) == \
+            TrialReport(3, 0, 3, 14676)
+        run_trial(*hamming_3x3(), "per_cell_decode", ChannelConfig(0.3, 5), 3)
+        assert gridfec.channel._LANES is lanes
+        assert (lanes.even, lanes.odd, lanes.ones, lanes.low) == before
+        gc.collect()
+        assert [o for o in gc.get_objects() if isinstance(o, gridfec.channel._Lanes)] == [lanes]
 
     @pytest.mark.parametrize("strategy", ["per_cell_decode", "simultaneous"])
     def test_syndrome_memos_do_not_outlive_their_block(self, strategy):

@@ -27,11 +27,13 @@ from typing import Optional
 
 import pytest
 
+import gridfec.channel
 from gridfec.channel import (
     _BLOCK_SLOTS,
     ChannelConfig,
     ChannelError,
     TrialReport,
+    _Lanes,
     _threshold,
     _trial_masks,
     bsc_corrupt,
@@ -80,6 +82,15 @@ def reference_bsc_corrupt(cfg: ChannelConfig, x: BitVector) -> BitVector:
         if draw < threshold:
             bits ^= 1 << i
     return BitVector(x.length, bits)
+
+
+def reference_trial_masks(master: int, trials: range, m: int, lengths: list[int], copies: int,
+                          p: float) -> list[int]:
+    """The flip mask of every stream (t, i, j, c), trial-major and copy fastest."""
+    return [reference_bsc_corrupt(ChannelConfig(p, reference_derive_seed(master, t, i, j, c)),
+                                  BitVector.zeros(length)).bits
+            for t in trials for i in range(m) for j, length in enumerate(lengths)
+            for c in range(copies)]
 
 
 def reference_run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
@@ -436,13 +447,44 @@ def test_trial_masks_match_reference_streams(m, lengths, copies, first, master):
     # Every fold of the kernel against the frozen per-stream derivation, with
     # trial ranges that start past 0, one of them near 2**40.
     trials = range(first, first + 3)
-    masks = _trial_masks(master, trials, m, lengths, copies, _threshold(0.3))
-    expected = [
-        reference_bsc_corrupt(ChannelConfig(0.3, reference_derive_seed(master, t, i, j, c)),
-                              BitVector.zeros(length)).bits
-        for t in trials for i in range(m) for j, length in enumerate(lengths)
-        for c in range(copies)]
-    assert masks == expected
+    assert _trial_masks(master, trials, m, lengths, copies, _threshold(0.3)) == \
+        reference_trial_masks(master, trials, m, lengths, copies, 0.3)
+
+
+class _NarrowLanes(_Lanes):
+    """Lanes that check every state they multiply fits in `limit` slots."""
+
+    __slots__ = ()
+    limit = 0
+
+    def times(self, z: int, c: int) -> int:
+        assert z.bit_length() <= 64 * self.limit
+        return super().times(z, c)
+
+
+@pytest.mark.parametrize("uneven", [False, True], ids=["even", "uneven"])
+@pytest.mark.parametrize("count, m, lengths, copies", [
+    pytest.param(1, 1, [70], 1, id="1"),
+    pytest.param(3, 5, [9] * 7, 1, id="odd"),
+    pytest.param(1, 1, [3] * (_BLOCK_SLOTS - 1), 1, id="block-1"),
+    pytest.param(2, 4, [3] * (_BLOCK_SLOTS // 16), 2, id="block"),
+    # One trial wider than a block: the kernel call builds its own lanes.
+    pytest.param(1, 1, [2] * (_BLOCK_SLOTS // 2 + 4), 2, id="wider"),
+])
+def test_trial_masks_at_block_slot_counts(count, m, lengths, copies, uneven, monkeypatch):
+    # The lanes built at import are _BLOCK_SLOTS wide.  A kernel call on fewer
+    # slots must cut `ones`, from which its top bits, threshold row and (with
+    # even lengths) wanted draws are built: else a mask or the state it draws
+    # from would run past the call's slots.
+    if uneven:
+        lengths = [length + j % 3 for j, length in enumerate(lengths)]
+    monkeypatch.setattr(_NarrowLanes, "limit", count * m * len(lengths) * copies)
+    monkeypatch.setattr(gridfec.channel, "_LANES", _NarrowLanes(_BLOCK_SLOTS))
+    monkeypatch.setattr(gridfec.channel, "_Lanes", _NarrowLanes)
+    master = 0xD1CE + len(lengths)
+    trials = range(7, 7 + count)
+    assert _trial_masks(master, trials, m, lengths, copies, _threshold(0.3)) == \
+        reference_trial_masks(master, trials, m, lengths, copies, 0.3)
 
 
 @pytest.mark.parametrize("cell", [(i, j) for i in range(3) for j in range(2)])
