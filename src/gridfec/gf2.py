@@ -249,8 +249,10 @@ def eliminate(words: list[int], columns: Iterable[int]) -> list[int]:
     for j in columns:
         r = len(pivots)
         bit = 1 << j
-        pivot = next((i for i in range(r, rows) if words[i] & bit), None)
-        if pivot is None:
+        for pivot in range(r, rows):
+            if words[pivot] & bit:
+                break
+        else:
             continue
         row = words[pivot]
         words[pivot] = words[r]

@@ -10,8 +10,8 @@ lookup needs.  Enumeration runs over ints, from the smaller of C and C-dual.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property, partial, reduce
-from itertools import chain, combinations
+from functools import cached_property, reduce
+from itertools import chain, combinations, islice, repeat
 from operator import xor
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
@@ -70,24 +70,27 @@ class _Leaders(dict):
     syndrome not yet found resumes the walk until it appears, recording every
     syndrome seen first on the way; the lookup stops at its leader's support,
     so the lookup of syndrome(e) walks no support heavier than e, and
-    `walked` is the exact number of supports visited.  The walk visits at
-    most COSET_WALK_BUDGET supports in all, then raises CapacityError.
-    Iteration shows the leaders found so far, in walk order.
+    `walked` is the exact number of supports visited.  Each support is one
+    packed int: position i packs as column i of H (the syndrome of {i}) plus
+    the unit bit 1 << (shift + i), so one XOR over a support's positions gives
+    its syndrome below bit `shift` and the support above.  The walk visits at
+    most COSET_WALK_BUDGET supports in all, then raises CapacityError without
+    losing a support, so a lookup under a raised budget resumes where it
+    stopped.  Iteration shows the leaders found so far, in walk order.
     """
 
-    __slots__ = ("cosets", "walked", "_pairs")
+    __slots__ = ("cosets", "walked", "_shift", "_words")
 
     def __init__(self, columns: tuple[int, ...], cosets: int) -> None:
         super().__init__({0: 0})
         self.cosets = cosets
         self.walked = 0  # supports visited so far, over all lookups
-        units = [1 << i for i in range(len(columns))]  # the support {i}
-        # (syndrome, support) of every nonzero support, in walk order; column i
-        # is the syndrome of {i}, so these reach every coset.
-        self._pairs = chain.from_iterable(
-            zip(map(partial(reduce, xor), combinations(columns, w)),
-                map(sum, combinations(units, w)))
-            for w in range(1, len(columns) + 1))
+        # The syndrome width, from the widest column: H may have dependent rows.
+        self._shift = shift = max(columns).bit_length()
+        words = [c | 1 << (shift + i) for i, c in enumerate(columns)]
+        # Every nonzero support, packed, in walk order; the columns reach every coset.
+        self._words = chain.from_iterable(
+            map(reduce, repeat(xor), combinations(words, w)) for w in range(1, len(words) + 1))
 
     def __missing__(self, syndrome: int) -> int:
         self._walk(syndrome)
@@ -104,14 +107,22 @@ class _Leaders(dict):
 
     def _walk(self, target: Optional[int]) -> None:
         """Walk on until `target` has a leader or every coset has one."""
-        budget = COSET_WALK_BUDGET
-        while target not in self and len(self) < self.cosets:
-            if self.walked >= budget:
-                raise CapacityError(
-                    f"the coset-leader walk passed its budget of {budget} supports")
-            # setdefault keeps the first support seen per syndrome.
-            self.setdefault(*next(self._pairs))
-            self.walked += 1
+        cosets, shift = self.cosets, self._shift
+        if target in self or len(self) == cosets:
+            return
+        budget, walked = COSET_WALK_BUDGET, self.walked
+        low, setdefault = (1 << shift) - 1, self.setdefault
+        try:
+            # islice stops before taking a support past the budget, so none is lost.
+            for word in islice(self._words, max(budget - walked, 0)):
+                syndrome = word & low
+                setdefault(syndrome, word >> shift)  # the first support seen per syndrome
+                walked += 1
+                if syndrome == target or len(self) == cosets:
+                    return
+        finally:
+            self.walked = walked
+        raise CapacityError(f"the coset-leader walk passed its budget of {budget} supports")
 
 
 class LinearCode:

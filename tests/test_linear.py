@@ -657,7 +657,8 @@ class TestCosetWalkBudget:
         word, err = code.decode(error)
         assert time.perf_counter() - start < 1.0
         assert word.bits == error.bits ^ err.bits and err.weight() <= weight
-        assert code.leader_bits.walked <= sum(comb(1024, w) for w in range(1, weight + 1))
+        # The packed supports here are 1044-bit ints: 20 syndrome bits under 1024 support bits.
+        assert code.leader_bits.walked == walk_position(1024, err.bits)
 
     def test_budget_counts_every_lookup(self, monkeypatch):
         from gridfec.families import repetition
@@ -667,6 +668,18 @@ class TestCosetWalkBudget:
         with pytest.raises(CapacityError, match="budget of 9 supports"):
             code.decode(BV("110000000"))
         assert code.leader_bits.walked == 9
+
+    def test_walk_resumes_after_its_budget(self, monkeypatch):
+        from gridfec.families import repetition
+        code = repetition(9)
+        syndrome = mat_vec_bits(code.h.row_words, 0b11)  # the support at walk position 10
+        monkeypatch.setattr(linear, "COSET_WALK_BUDGET", 9)
+        with pytest.raises(CapacityError, match="budget of 9 supports"):
+            code.leader_bits[syndrome]
+        # The failed lookup took no support it did not record, so this one goes on from 9.
+        monkeypatch.undo()
+        assert code.leader_bits[syndrome] == 0b11
+        assert code.leader_bits.walked == walk_position(9, 0b11) == 10
 
     def test_full_table_refused_before_walking(self, monkeypatch):
         from gridfec.families import repetition
