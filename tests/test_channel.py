@@ -226,6 +226,9 @@ class TestRunTrial:
         # The counts the CI pins for this grid.
         assert run_trial(grid, sent, "per_cell_decode", ChannelConfig(0.3, 5), 3) == \
             TrialReport(3, 0, 3, 14676)
+        # Every one of these trials reaches grid.vote.
+        assert run_trial(grid, sent, "majority_vote", ChannelConfig(0.3, 5), 3) == \
+            TrialReport(3, 3, 3, 0)
         run_trial(*hamming_3x3(), "per_cell_decode", ChannelConfig(0.3, 5), 3)
         assert gridfec.channel._LANES is lanes
         assert (lanes.even, lanes.odd, lanes.ones, lanes.low) == before
