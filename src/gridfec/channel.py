@@ -32,7 +32,7 @@ from array import array
 from functools import partial
 from itertools import cycle, repeat
 from operator import and_
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .gf2 import BitVector, Gf2Error, Value, _set, mat_vec_bits
 from .grid import GridCode, GridCodeword, arbitrate, vote
@@ -269,14 +269,15 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
               cfg: ChannelConfig, trials: int) -> TrialReport:
     """Corrupt every cell per trial, apply the strategy, tally recoveries.
 
-    The strategy, chosen once, checks its input and gives `totals(masks)`:
-    per trial of a block of flip masks, the bits the trial leaves, plus a
+    The strategy, chosen once, checks its input and gives its memo rule,
+    `values(masks)`, a value per cell stream of a block of flip masks, and
+    `outcome`, one trial's values packed: the bits the trial leaves, plus a
     nonzero multiple of `unit` (a power of two above them) iff some received
-    cell was a codeword other than the sent one.  A trial succeeds iff it
-    leaves no bit error.  Blocks of at most _BLOCK_SLOTS cell streams come
-    from `_trial_masks`, exactly the masks of `bsc_corrupt` seeded by
-    `derive_seed(cfg.seed, t, i, j, copy)`; each is tallied in C, and the
-    memos of its masks are emptied with it.
+    cell was a codeword other than the sent one.  One `zip` splits every
+    block of at most _BLOCK_SLOTS streams from `_trial_masks` (the masks of
+    `bsc_corrupt` seeded by `derive_seed(cfg.seed, t, i, j, copy)`) into
+    trials; the tally reads their outcomes in C, a trial succeeds iff it
+    leaves no bit error, and the block's memos are emptied with it.
     """
     if strategy not in STRATEGIES:
         raise ChannelError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
@@ -292,10 +293,6 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
     codes = [code for row in grid.cells for code in row]
     slots = len(codes) * copies
     unit = 1 << (len(codes) * max(lengths)).bit_length()
-
-    def per_trial(outcome: Callable[[list[int]], int]) -> Callable[[list[int]], Iterable[int]]:
-        """The totals of a strategy that decides one trial's masks at a time."""
-        return lambda masks: map(outcome, [masks[k:k + slots] for k in range(0, len(masks), slots)])
 
     def decode(rows: tuple[int, ...], leaders: dict[int, int], e: int) -> int:
         """Error mask e in a cell with check rows `rows`: the bits the cell keeps,
@@ -317,10 +314,13 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
             memos[rows] = _Memo(partial(decode, rows, code.leader_bits)
                                 if strategy == "per_cell_decode" else partial(mat_vec_bits, rows))
     cells = [memos[code.h.row_words] for code in codes]
+    values: Callable[[list[int]], Iterator[int]] = iter  # vote and reconcile read the masks
     if strategy == "per_cell_decode":
-        def totals(masks: list[int]) -> Iterable[int]:
-            # One iterator zipped `slots` times over hands out each trial's cells.
-            return map(sum, zip(*[map(dict.__getitem__, cycle(cells), masks)] * slots))
+        def values(masks: list[int]) -> Iterator[int]:
+            # A fresh cycle per block, since map draws one cell past the last mask.
+            return map(dict.__getitem__, cycle(cells), masks)
+
+        outcome: Callable[[tuple[int, ...]], int] = sum
     elif strategy == "majority_vote":
         if not grid.is_uniform():
             raise ChannelError("majority_vote requires a uniform grid")
@@ -332,17 +332,15 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
         syndrome_of = cells[0]
         count = len(codes)
 
-        def outcome(errors: list[int]) -> int:
+        def outcome(errors: tuple[int, ...]) -> int:
             hidden = 0 if all(map(syndrome_of.__getitem__, filter(None, errors))) else unit
             # More untouched cells than struck ones are a unique top count for x,
             # which is all `vote` could return.
             if 2 * errors.count(0) > count:
                 return hidden
             return (vote(codes[0], [x ^ e for e in errors]) ^ x).bit_count() + hidden
-
-        totals = per_trial(outcome)
     else:
-        def outcome(errors: list[int]) -> int:
+        def outcome(errors: tuple[int, ...]) -> int:
             # A cell both copies' errors agree on passes through; the others are
             # arbitrated on the errors, which gives the error kept.
             left = 0
@@ -359,15 +357,14 @@ def run_trial(grid: GridCode, sent: GridCodeword, strategy: str,
                 left += arbitrate(code, ea, eb, sa, sb).bit_count()
             return left + unit if hidden else left
 
-        totals = per_trial(outcome)
-
     successes = undetected = residual = 0
     threshold = _threshold(cfg.flip_probability)
     block = max(1, _BLOCK_SLOTS // slots)
     for start in range(0, trials, block):
         masks = _trial_masks(cfg.seed, range(start, min(start + block, trials)), grid.m,
                              lengths, copies, threshold)
-        packed = list(totals(masks))
+        # One iterator zipped `slots` times over hands out each trial's values.
+        packed = list(map(outcome, zip(*[values(masks)] * slots)))
         lefts = list(map(and_, packed, repeat(unit - 1)))
         residual += sum(lefts)
         successes += lefts.count(0)

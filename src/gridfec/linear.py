@@ -93,7 +93,8 @@ class _Leaders(dict):
             map(reduce, repeat(xor), combinations(words, w)) for w in range(1, len(words) + 1))
 
     def __missing__(self, syndrome: int) -> int:
-        self._walk(syndrome)
+        if not syndrome >> self._shift:  # no support is wider than the widest column
+            self._walk(syndrome)
         if syndrome not in self:
             raise KeyError(syndrome)
         return self[syndrome]
@@ -294,8 +295,9 @@ class LinearCode:
         support (earliest flipped positions), matching the worked coset tables.
         The map is lazy: a lookup walks supports only as far as its syndrome's
         leader, so iterating it shows only the leaders found so far, and the
-        walk raises CapacityError past COSET_WALK_BUDGET supports.  Read it by
-        subscript; `in` and `.get` do not walk.
+        walk raises CapacityError past COSET_WALK_BUDGET supports.  A syndrome
+        no support reaches raises KeyError, at once if it is negative or wider
+        than H's widest column.  Read it by subscript; `in` and `.get` do not walk.
         """
         return _Leaders(transpose(self.h).row_words, 1 << (self.n - self.k))
 

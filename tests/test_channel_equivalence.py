@@ -381,12 +381,13 @@ MIXED_BLOCK_TRIALS = _BLOCK_SLOTS // 6
 
 
 @pytest.mark.parametrize("strategy, trials", [
-    *_block_edges("per_cell_decode", MIXED_BLOCK_TRIALS),
-    *_block_edges("simultaneous", MIXED_BLOCK_TRIALS // 2),
+    *_block_edges("per_cell_decode", MIXED_BLOCK_TRIALS, 2 * MIXED_BLOCK_TRIALS + 1),
+    *_block_edges("simultaneous", MIXED_BLOCK_TRIALS // 2, MIXED_BLOCK_TRIALS + 1),
 ])
 def test_block_boundaries_on_a_mixed_grid(strategy, trials):
     # Each check matrix's memo is keyed by mask alone and emptied with the
-    # block: the trials past the first block read fresh ones.
+    # block: the trials past the first block read fresh ones, and every block
+    # hands its first mask to the first cell's memo.
     grid, sent = _mixed_from_stream()
     cfg = ChannelConfig(0.2, 1 << 63)
     assert run_trial(grid, sent, strategy, cfg, trials) == \

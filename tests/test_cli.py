@@ -534,6 +534,14 @@ class TestSuperCommands:
         assert rc == 0
         assert out == (FIXTURES / "golden_super_dual_4_8.txt").read_text()
 
+    def test_dual_past_the_word_list_cap_prints_its_size(self, capsys, tmp_path):
+        # H = (I_13 | I_13) has a (26, 13) dual: 2^13 words, past the cap of 12.
+        rows = [format(1 << i, "013b") * 2 for i in range(13)]
+        spec = tmp_path / "wide_row.json"
+        spec.write_text(json.dumps({"shape": "row", "cells": [{"kind": "parity", "rows": rows}]}))
+        assert run(capsys, "super", "dual", "--spec", str(spec)) == \
+            (0, "component 0 dual: (26, 13)\n")
+
     def test_constraint_violation_exits_two(self, capsys, tmp_path):
         spec = tmp_path / "bad_row.json"
         spec.write_text('{"shape": "row", "cells": [{"kind": "hamming", "m": 3},'

@@ -82,6 +82,34 @@ class TestBitVector:
         with pytest.raises(Gf2Error):
             BV("101").slice(1, 4)
 
+    @pytest.mark.parametrize("i", [3, -1])
+    def test_index_out_of_range(self, i):
+        with pytest.raises(IndexError, match=f"bit index {i} out of range for length 3"):
+            BV("101")[i]
+
+    def test_iteration_reads_bits_from_the_left(self):
+        assert list(BV("1101")) == [1, 1, 0, 1]
+        assert list(BV("")) == []
+
+    @pytest.mark.parametrize("text", ["", "1"])
+    def test_shift_right_of_at_most_one_bit_is_the_word(self, text):
+        assert BV(text).shift_right() == BV(text)
+
+
+class TestBitMatrix:
+    def test_from_no_rows_is_the_empty_matrix(self):
+        assert BitMatrix.from_rows([]) == BitMatrix(0, 0, ())
+
+    @pytest.mark.parametrize("i, j", [(3, 0), (0, 7), (-1, 0)])
+    def test_entry_out_of_range(self, i, j):
+        assert G_124.entry(1, 1) == 1
+        with pytest.raises(IndexError, match=rf"entry \({i}, {j}\) out of range"):
+            G_124.entry(i, j)
+
+    def test_str_is_one_line_per_row(self):
+        assert str(H_126) == "10110\n11001"
+        assert str(BitMatrix.from_rows([])) == ""
+
 
 class TestMatMul:
     def test_g_times_h_transpose_is_zero(self):

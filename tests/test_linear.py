@@ -488,6 +488,9 @@ class TestRate:
         from gridfec.families import hamming
         assert hamming(3).transmission_rate() == Fraction(4, 7)
 
+    def test_repr_names_the_parameters(self):
+        assert repr(LinearCode.from_parity(H_121)) == "LinearCode(n=7, k=3)"
+
 
 class TestInvariants:
     def test_codeword_count_matches_rank(self):
@@ -690,6 +693,25 @@ class TestCosetWalkBudget:
         assert code.leader_bits.walked == 0
         monkeypatch.setattr(linear, "COSET_WALK_BUDGET", 255)
         assert len(code.coset_table) == 256
+
+    @pytest.mark.parametrize("syndrome", [1 << 8, -1])
+    def test_syndrome_past_the_columns_refused_before_walking(self, monkeypatch, syndrome):
+        # repetition(9)'s syndromes have 8 bits; a wider or negative one has no
+        # coset, even under a budget that would stop a walk after 9 supports.
+        from gridfec.families import repetition
+        code = repetition(9)
+        monkeypatch.setattr(linear, "COSET_WALK_BUDGET", 9)
+        with pytest.raises(KeyError):
+            code.leader_bits[syndrome]
+        assert code.leader_bits.walked == 0
+
+    def test_syndrome_outside_the_column_space_walks_every_coset(self):
+        # Dependent rows: 3 syndrome bits but only 4 cosets, all of weight <= 1.
+        code = LinearCode.from_parity(BM(["110", "110", "011"]))
+        assert code.k == 1
+        with pytest.raises(KeyError):
+            code.leader_bits[0b010]
+        assert (len(code.leader_bits), code.leader_bits.walked) == (4, 3)
 
 
 def golay_code() -> LinearCode:

@@ -42,6 +42,12 @@ def row_318() -> SuperRowCode:
     return SuperRowCode([LinearCode.from_parity(H1_318), LinearCode.from_parity(H2_318)])
 
 
+class TestSuperCodeword:
+    def test_length_is_the_segment_count(self):
+        assert len(SuperCodeword.of("101", "1100", "")) == 3
+        assert len(SuperCodeword(())) == 0
+
+
 class TestRowConstruction:
     def test_three_component_cardinality(self):
         rc = SuperRowCode([LinearCode.from_parity(h) for h in H_311])
